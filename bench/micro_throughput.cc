@@ -132,6 +132,45 @@ BM_RunBenchmarkSampled(benchmark::State &state)
 BENCHMARK(BM_RunBenchmarkSampled)->Unit(benchmark::kMillisecond);
 
 /**
+ * The two steps a sampled request pays before simulating anything,
+ * at the daemon's request size: draining the input chain into a
+ * trace (generation included, as materializeSpecInput does it) and
+ * profiling that trace into a sampling plan. Items are references.
+ */
+constexpr std::uint64_t kSampledInputRefs = 1500000;
+
+void
+BM_MaterializeTrace(benchmark::State &state)
+{
+    const Benchmark &bench = findBenchmark("mgrid");
+    for (auto _ : state) {
+        auto workload = bench.makeWorkload();
+        TruncatingSource limited(*workload, kSampledInputRefs);
+        auto trace = MaterializedTrace::fromSource(limited);
+        benchmark::DoNotOptimize(trace->data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * kSampledInputRefs));
+}
+BENCHMARK(BM_MaterializeTrace)->Unit(benchmark::kMillisecond);
+
+void
+BM_BuildSamplingPlan(benchmark::State &state)
+{
+    auto workload = findBenchmark("mgrid").makeWorkload();
+    TruncatingSource limited(*workload, kSampledInputRefs);
+    auto trace = MaterializedTrace::fromSource(limited);
+    for (auto _ : state) {
+        SamplingPlan plan = buildSamplingPlan(*trace);
+        benchmark::DoNotOptimize(plan);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * trace->size()));
+}
+BENCHMARK(BM_BuildSamplingPlan)->Unit(benchmark::kMillisecond);
+
+/**
  * The workload the trace-reuse layer targets: a sweep family — one
  * benchmark swept across stream counts behind a shared L1 front end.
  * Naive regenerates the workload and re-simulates the L1 per point;

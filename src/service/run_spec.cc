@@ -127,14 +127,7 @@ materializeSpecInput(const RunSpec &spec)
     TimeSampler *sampler = nullptr;
     std::unique_ptr<OwningSourceChain> chain =
         buildSpecChain(spec, &sampler);
-    std::vector<MemAccess> refs =
-        MaterializedTrace::drainVector(*chain);
-    if (sampler) {
-        return std::make_shared<const MaterializedTrace>(
-            std::move(refs), sampler->sampledCount(),
-            sampler->skippedCount());
-    }
-    return std::make_shared<const MaterializedTrace>(std::move(refs));
+    return MaterializedTrace::fromSource(*chain, sampler);
 }
 
 std::string

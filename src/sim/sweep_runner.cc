@@ -80,6 +80,20 @@ class HeartbeatPrinter
     Mutex mutex_;
 };
 
+/**
+ * The job's input as a materialised trace: its materialising producer
+ * when it has one (that attaches drain-time TimeSampler counts), else
+ * a drain of its factory's source.
+ */
+std::shared_ptr<const MaterializedTrace>
+materializeInput(const SweepJob &job)
+{
+    if (job.materialize)
+        return job.materialize();
+    std::unique_ptr<TraceSource> src = job.makeSource();
+    return MaterializedTrace::fromSource(*src);
+}
+
 } // namespace
 
 SweepJob
@@ -279,13 +293,8 @@ SweepRunner::run(const std::vector<SweepJob> &jobs) const
         parallelFor(to_materialize.size(), jobs_, [&](std::size_t k) {
             const std::string &key = to_materialize[k];
             const SweepJob &rep = jobs[factory_job.at(key)];
-            // Prefer the materialising producer: it attaches
-            // drain-time metadata (TimeSampler counts) the plain
-            // factory cannot.
-            mats[k] = rep.materialize
-                          ? cache.getOrMaterializeTrace(key,
-                                                        rep.materialize)
-                          : cache.getOrMaterialize(key, rep.makeSource);
+            mats[k] = cache.getOrMaterializeTrace(
+                key, [&rep] { return materializeInput(rep); });
         });
         std::map<std::string, std::shared_ptr<const MaterializedTrace>>
             mat_traces;
@@ -373,12 +382,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs) const
             SampleGroup &group = *sgroup_list[k].second;
             const SweepJob &leader = jobs[group.members.front()];
             const bool cached = traceCache_ && !leader.sourceKey.empty();
-            auto produce = [&leader] {
-                if (leader.materialize)
-                    return leader.materialize();
-                std::unique_ptr<TraceSource> src = leader.makeSource();
-                return MaterializedTrace::fromSource(*src);
-            };
+            auto produce = [&leader] { return materializeInput(leader); };
             std::shared_ptr<const MaterializedTrace> trace =
                 cached ? TraceCache::instance().getOrMaterializeTrace(
                              key, produce)

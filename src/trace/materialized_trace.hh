@@ -17,56 +17,44 @@
 #include <cstdint>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "trace/source.hh"
 
 namespace sbsim {
+
+class TimeSampler;
 
 /** An immutable in-memory reference trace, safe to share between
  *  threads (readers only ever see const state). */
 class MaterializedTrace
 {
   public:
-    explicit MaterializedTrace(std::vector<MemAccess> refs)
-        : refs_(std::move(refs))
-    {}
-
     /**
-     * As above, recording the TimeSampler pass-through counts of the
-     * chain that produced @p refs, so runs replaying this trace can
-     * still report them (the sampler itself is gone by replay time).
+     * Drain @p src to completion into a new shared trace.
+     *
+     * The source writes its batches straight into one anonymous
+     * mapping that grows by remapping (mremap where the platform has
+     * it), so references already drained are never copied or faulted
+     * in again, and the drain ends by unmapping the unused tail
+     * instead of copying to fit. Nothing is sized from a reference limit:
+     * the mapping starts small and doubles, so a finite source under
+     * any TruncatingSource limit costs memory for what it delivers.
+     *
+     * @param sampler When the chain behind @p src contains a
+     *        TimeSampler, that link: its pass-through counts are
+     *        recorded once the drain ends, so runs replaying this
+     *        trace can still report them (the sampler itself is gone
+     *        by replay time).
      */
-    MaterializedTrace(std::vector<MemAccess> refs,
-                      std::uint64_t sampler_sampled,
-                      std::uint64_t sampler_skipped)
-        : refs_(std::move(refs)), samplerSampled_(sampler_sampled),
-          samplerSkipped_(sampler_skipped), hasSamplerCounts_(true)
-    {}
-
-    /** Drain @p src to completion into a plain vector. */
-    static std::vector<MemAccess>
-    drainVector(TraceSource &src)
-    {
-        std::vector<MemAccess> refs;
-        MemAccess buf[1024];
-        std::size_t got;
-        while ((got = src.nextBatch(buf, 1024)) > 0)
-            refs.insert(refs.end(), buf, buf + got);
-        refs.shrink_to_fit();
-        return refs;
-    }
-
-    /** Drain @p src to completion into a new shared trace. */
     static std::shared_ptr<const MaterializedTrace>
-    fromSource(TraceSource &src)
-    {
-        return std::make_shared<const MaterializedTrace>(
-            drainVector(src));
-    }
+    fromSource(TraceSource &src, const TimeSampler *sampler = nullptr);
 
-    const MemAccess *data() const { return refs_.data(); }
-    std::size_t size() const { return refs_.size(); }
+    ~MaterializedTrace();
+    MaterializedTrace(const MaterializedTrace &) = delete;
+    MaterializedTrace &operator=(const MaterializedTrace &) = delete;
+
+    const MemAccess *data() const { return refs_; }
+    std::size_t size() const { return size_; }
 
     /** True when the producing chain's TimeSampler counts were
      *  recorded at materialization time. */
@@ -74,15 +62,22 @@ class MaterializedTrace
     std::uint64_t samplerSampled() const { return samplerSampled_; }
     std::uint64_t samplerSkipped() const { return samplerSkipped_; }
 
-    /** Approximate resident footprint, for the cache report. */
+    /** Bytes the trace holds, for the cache report: the references
+     *  it stores, not the address space its drain reserved. */
     std::size_t
     bytes() const
     {
-        return sizeof(*this) + refs_.capacity() * sizeof(MemAccess);
+        return sizeof(*this) + size_ * sizeof(MemAccess);
     }
 
   private:
-    std::vector<MemAccess> refs_;
+    MaterializedTrace() = default;
+
+    /** Start of the mapping (null when the trace is empty). */
+    MemAccess *refs_ = nullptr;
+    std::size_t size_ = 0;
+    /** Length of the mapping at refs_, a whole number of pages. */
+    std::size_t mappedBytes_ = 0;
     std::uint64_t samplerSampled_ = 0;
     std::uint64_t samplerSkipped_ = 0;
     bool hasSamplerCounts_ = false;

@@ -3,53 +3,112 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <unordered_map>
 
 #include "mem/block.hh"
 #include "util/bitutil.hh"
-#include "util/log_histogram.hh"
 #include "util/logging.hh"
 
 namespace sbsim {
 namespace {
 
-/** Coarse (octave) reuse-time bins in a signature. Deltas are
- *  bounded by the trace length, so 40 octaves cover any input. */
-constexpr std::size_t kReuseBins = 40;
-/** Signature layout: [0, kReuseBins) reuse octaves, then cold,
+/** Signature layout: [0, kReuseOctaves) reuse octaves, then cold,
  *  instruction-fetch and store fractions. */
-constexpr std::size_t kSigDims = kReuseBins + 3;
+constexpr std::size_t kSigDims = kReuseOctaves + 3;
 
-/** Per-interval raw profile, turned into a signature at the end. */
-struct IntervalProfile
+/**
+ * The position of every block's last touch, in one flat
+ * open-addressing table. The hash scatters runs of kRun consecutive
+ * blocks and keeps each run in consecutive slots, so a pass streaming
+ * through memory walks the table a cache line at a time. The table
+ * doubles at half full, so each block costs two to four 16-byte
+ * slots, however a trace spreads its blocks over the address range.
+ */
+class LastTouchIndex
 {
-    std::uint64_t begin = 0;
-    std::uint64_t length = 0;
-    std::uint64_t cold = 0;
-    std::uint64_t ifetch = 0;
-    std::uint64_t stores = 0;
-    Log2Histogram reuse;
+  public:
+    static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
+    LastTouchIndex() : slots_(std::size_t{1} << kInitialBits) {}
+
+    /** Record a touch of @p block at @p pos. @return the position of
+     *  the block's previous touch, or kNever for its first. */
+    std::uint64_t
+    exchange(std::uint64_t block, std::uint64_t pos)
+    {
+        for (std::size_t i = home(block);; i = (i + 1) & mask_) {
+            Slot &s = slots_[i];
+            if (s.touch == 0) {
+                s = {block, pos + 1};
+                if (++used_ * 2 > slots_.size())
+                    grow();
+                return kNever;
+            }
+            if (s.block == block) {
+                const std::uint64_t prev = s.touch - 1;
+                s.touch = pos + 1;
+                return prev;
+            }
+        }
+    }
+
+  private:
+    static constexpr unsigned kRunBits = 4;
+    static constexpr std::uint64_t kRun = std::uint64_t{1} << kRunBits;
+    static constexpr unsigned kInitialBits = 12;
+
+    struct Slot
+    {
+        std::uint64_t block = 0;
+        /** Last touch position + 1; 0 marks an empty slot. */
+        std::uint64_t touch = 0;
+    };
+
+    std::size_t
+    home(std::uint64_t block) const
+    {
+        // Fibonacci hashing of the run number picks the run's first
+        // slot; the block's offset in its run picks the slot after it.
+        const std::uint64_t run =
+            ((block >> kRunBits) * 0x9e3779b97f4a7c15ULL) >> (64 - runBits_);
+        return static_cast<std::size_t>((run << kRunBits) |
+                                        (block & (kRun - 1)));
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old(slots_.size() * 2);
+        old.swap(slots_);
+        mask_ = slots_.size() - 1;
+        ++runBits_;
+        for (const Slot &s : old) {
+            if (s.touch == 0)
+                continue;
+            std::size_t i = home(s.block);
+            while (slots_[i].touch != 0)
+                i = (i + 1) & mask_;
+            slots_[i] = s;
+        }
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t mask_ = (std::size_t{1} << kInitialBits) - 1;
+    /** log2 of the number of runs the table holds. */
+    unsigned runBits_ = kInitialBits - kRunBits;
+    std::size_t used_ = 0;
 };
 
-/** Fold the histogram into octaves and normalize by interval
- *  length, so signatures of different-length intervals compare. */
+/** Normalize the profile's counts by interval length, so signatures
+ *  of different-length intervals compare. */
 std::vector<double>
 makeSignature(const IntervalProfile &p)
 {
     std::vector<double> sig(kSigDims, 0.0);
-    p.reuse.forEachBucket(
-        [&sig](std::uint64_t lower, std::uint64_t, std::uint64_t count) {
-            std::size_t bin = lower == 0
-                                  ? 0
-                                  : static_cast<std::size_t>(
-                                        floorLog2(lower) + 1);
-            if (bin >= kReuseBins)
-                bin = kReuseBins - 1;
-            sig[bin] += static_cast<double>(count);
-        });
-    sig[kReuseBins] = static_cast<double>(p.cold);
-    sig[kReuseBins + 1] = static_cast<double>(p.ifetch);
-    sig[kReuseBins + 2] = static_cast<double>(p.stores);
+    for (std::size_t bin = 0; bin < kReuseOctaves; ++bin)
+        sig[bin] = static_cast<double>(p.reuse[bin]);
+    sig[kReuseOctaves] = static_cast<double>(p.cold);
+    sig[kReuseOctaves + 1] = static_cast<double>(p.ifetch);
+    sig[kReuseOctaves + 2] = static_cast<double>(p.stores);
     if (p.length > 0) {
         double inv = 1.0 / static_cast<double>(p.length);
         for (double &v : sig)
@@ -78,23 +137,57 @@ PhaseProfileConfig::key() const
     return os.str();
 }
 
-SamplingPlan
-buildSamplingPlan(const MaterializedTrace &trace,
-                  const PhaseProfileConfig &config)
+std::vector<IntervalProfile>
+profileIntervals(const MaterializedTrace &trace,
+                 const PhaseProfileConfig &config)
 {
     SBSIM_ASSERT(config.intervalRefs > 0,
                  "sampling plan needs intervalRefs > 0");
+    const MemAccess *refs = trace.data();
+    const std::uint64_t n = trace.size();
+    std::vector<IntervalProfile> profiles(
+        n / config.intervalRefs + (n % config.intervalRefs != 0));
+
+    // Per interval: reuse time of each reference (position delta to
+    // the previous touch of its block) by octave, cold references,
+    // reference mix. A block's absence from the last-touch index IS
+    // the cold signal, so no separate footprint set is kept.
+    const BlockMapper mapper(config.blockBytes);
+    LastTouchIndex lastTouch;
+    std::uint64_t pos = 0;
+    for (IntervalProfile &p : profiles) {
+        p.begin = pos;
+        p.length = std::min(config.intervalRefs, n - pos);
+        for (const std::uint64_t end = pos + p.length; pos < end; ++pos) {
+            const MemAccess &a = refs[pos];
+            p.ifetch += a.isInstruction();
+            p.stores += a.isWrite();
+            const std::uint64_t prev =
+                lastTouch.exchange(mapper.blockNumber(a.addr), pos);
+            if (prev == LastTouchIndex::kNever)
+                ++p.cold;
+            else
+                ++p.reuse[std::min<std::size_t>(
+                    floorLog2(pos - prev) + 1, kReuseOctaves - 1)];
+        }
+    }
+    return profiles;
+}
+
+SamplingPlan
+selectIntervals(const std::vector<IntervalProfile> &profiles,
+                const PhaseProfileConfig &config)
+{
     SBSIM_ASSERT(config.maxClusters > 0,
                  "sampling plan needs maxClusters > 0");
 
     SamplingPlan plan;
     plan.config = config;
-    plan.totalRefs = trace.size();
-
-    const MemAccess *refs = trace.data();
-    const std::uint64_t n = trace.size();
-    plan.intervalsTotal =
-        (n + config.intervalRefs - 1) / config.intervalRefs;
+    std::uint64_t n = 0;
+    for (const IntervalProfile &p : profiles)
+        n += p.length;
+    plan.totalRefs = n;
+    plan.intervalsTotal = profiles.size();
 
     // Degenerate traces: one full-length interval, weight 1, no
     // warmup — the sampled run is then the exact run.
@@ -105,37 +198,6 @@ buildSamplingPlan(const MaterializedTrace &trace,
     if (plan.intervalsTotal <= 1) {
         makeExact();
         return plan;
-    }
-
-    // One-pass phase profiling: per-interval reuse-time sketch
-    // (position delta to the previous touch of the same block,
-    // bucketed by Log2Histogram), cold fraction, reference mix. One
-    // hash probe per reference: a block's absence from the last-touch
-    // map IS the cold signal, so no separate footprint set is kept.
-    std::vector<IntervalProfile> profiles(plan.intervalsTotal);
-    {
-        const BlockMapper mapper(config.blockBytes);
-        std::unordered_map<std::uint64_t, std::uint64_t> lastPos;
-        lastPos.reserve(1 << 16);
-        for (std::uint64_t pos = 0; pos < n; ++pos) {
-            IntervalProfile &p = profiles[pos / config.intervalRefs];
-            if (p.length == 0)
-                p.begin = pos;
-            ++p.length;
-            const MemAccess &a = refs[pos];
-            if (a.isInstruction())
-                ++p.ifetch;
-            if (a.isWrite())
-                ++p.stores;
-            std::uint64_t block = mapper.blockNumber(a.addr);
-            auto [it, inserted] = lastPos.try_emplace(block, pos);
-            if (inserted) {
-                ++p.cold;
-            } else {
-                p.reuse.add(pos - it->second);
-                it->second = pos;
-            }
-        }
     }
 
     std::vector<std::vector<double>> sigs(profiles.size());
@@ -222,6 +284,13 @@ buildSamplingPlan(const MaterializedTrace &trace,
     if (plan.simulatedRefs() + plan.warmupTotal() >= n)
         makeExact();
     return plan;
+}
+
+SamplingPlan
+buildSamplingPlan(const MaterializedTrace &trace,
+                  const PhaseProfileConfig &config)
+{
+    return selectIntervals(profileIntervals(trace, config), config);
 }
 
 } // namespace sbsim

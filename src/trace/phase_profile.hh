@@ -8,10 +8,9 @@
  * *which* intervals:
  *
  *   1. a one-pass phase profiler over a materialized trace that
- *      computes, per fixed-size interval, a cheap locality signature —
- *      a log2 reuse-time sketch (Log2Histogram buckets folded to
- *      octaves), the cold-block fraction (BlockFootprint), and the
- *      instruction/store mix;
+ *      counts, per fixed-size interval, a cheap locality signature —
+ *      reuses by octave of reuse time, cold references (first touch
+ *      of a block), and the instruction/store mix;
  *   2. a leader-style clusterer over those signatures (threshold
  *      doubling until at most maxClusters leaders remain) with a
  *      k-medoids refinement: each cluster is represented by the
@@ -30,6 +29,7 @@
 #ifndef STREAMSIM_TRACE_PHASE_PROFILE_HH
 #define STREAMSIM_TRACE_PHASE_PROFILE_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -118,8 +118,47 @@ struct SamplingPlan
     }
 };
 
-/** Profile @p trace and select representative intervals. One pass,
- *  deterministic; the weighted interval lengths sum to totalRefs. */
+/** Reuse-time octaves in an IntervalProfile. Reuse times are
+ *  bounded by the trace length, so 40 octaves cover any input. */
+constexpr std::size_t kReuseOctaves = 40;
+
+/** The raw locality counts of one profiling interval. */
+struct IntervalProfile
+{
+    /** Position of the interval's first reference. */
+    std::uint64_t begin = 0;
+    /** References in the interval (intervalRefs, or fewer for the
+     *  last one). */
+    std::uint64_t length = 0;
+    /** References to a block the trace had not touched before. */
+    std::uint64_t cold = 0;
+    std::uint64_t ifetch = 0;
+    std::uint64_t stores = 0;
+    /** Reuses by reuse time t, the positions since the previous
+     *  touch of the same block: t lands in octave floorLog2(t) + 1,
+     *  and the last octave also takes every longer time. */
+    std::array<std::uint64_t, kReuseOctaves> reuse{};
+
+    bool operator==(const IntervalProfile &) const = default;
+};
+
+/** Profile every intervalRefs-long interval of @p trace, in order.
+ *  One pass; an empty trace has no intervals. */
+std::vector<IntervalProfile>
+profileIntervals(const MaterializedTrace &trace,
+                 const PhaseProfileConfig &config = {});
+
+/**
+ * Cluster the @p profiles of one trace and select each cluster's
+ * medoid interval. Deterministic; the weighted interval lengths sum
+ * to the trace length, and a trace of at most one interval (or one
+ * where sampling saves nothing) gets the exact plan.
+ */
+SamplingPlan selectIntervals(const std::vector<IntervalProfile> &profiles,
+                             const PhaseProfileConfig &config = {});
+
+/** Profile @p trace and select representative intervals:
+ *  selectIntervals(profileIntervals(trace, config), config). */
 SamplingPlan buildSamplingPlan(const MaterializedTrace &trace,
                                const PhaseProfileConfig &config = {});
 

@@ -119,36 +119,6 @@ TraceCache::purgeExpired()
 }
 
 std::shared_ptr<const MaterializedTrace>
-TraceCache::getOrMaterialize(
-    const std::string &key,
-    const std::function<std::unique_ptr<TraceSource>()> &make)
-{
-    {
-        MutexLock lock(mutex_);
-        if (auto trace = refHitLocked(key))
-            return trace;
-    }
-    // Produce outside the lock: materialisation is the expensive part
-    // and holding the mutex across it would serialise the sweep pool.
-    std::unique_ptr<TraceSource> src = make();
-    std::shared_ptr<const MaterializedTrace> produced =
-        MaterializedTrace::fromSource(*src);
-
-    MutexLock lock(mutex_);
-    if (auto winner = refHitLocked(key)) {
-        // Lost the race; adopt the first writer's copy (identical
-        // content — production is deterministic per key).
-        return winner;
-    }
-    // Inserts are the only operation that grows the maps, so they are
-    // the natural amortisation point for the expired-entry sweep.
-    purgeExpiredLocked();
-    refTraces_[key] = produced;
-    ++counters_.refTracesMaterialized;
-    return produced;
-}
-
-std::shared_ptr<const MaterializedTrace>
 TraceCache::getOrMaterializeTrace(
     const std::string &key,
     const std::function<std::shared_ptr<const MaterializedTrace>()>
@@ -159,11 +129,18 @@ TraceCache::getOrMaterializeTrace(
         if (auto trace = refHitLocked(key))
             return trace;
     }
+    // Produce outside the lock: materialisation is the expensive part
+    // and holding the mutex across it would serialise the sweep pool.
     std::shared_ptr<const MaterializedTrace> produced = produce();
 
     MutexLock lock(mutex_);
-    if (auto winner = refHitLocked(key))
+    if (auto winner = refHitLocked(key)) {
+        // Lost the race; adopt the first writer's copy (identical
+        // content — production is deterministic per key).
         return winner;
+    }
+    // Inserts are the only operation that grows the maps, so they are
+    // the natural amortisation point for the expired-entry sweep.
     purgeExpiredLocked();
     refTraces_[key] = produced;
     ++counters_.refTracesMaterialized;

@@ -98,9 +98,9 @@ void printTraceCacheReport(const TraceCacheStats &stats,
  * be called *without* mutex_ held — none of them may be invoked from
  * a callback running under another TraceCache method, or the process
  * deadlocks. In particular the producer callbacks passed to
- * getOrMaterialize/getOrRecord always run outside the lock (that is
- * what makes first-writer-wins racing safe), so they may themselves
- * consult the cache.
+ * getOrMaterializeTrace/getOrRecord/getOrBuildPlan always run outside
+ * the lock (that is what makes first-writer-wins racing safe), so they
+ * may themselves consult the cache.
  */
 class TraceCache
 {
@@ -112,19 +112,11 @@ class TraceCache
     static bool enabledByEnv();
 
     /**
-     * Return the trace cached under @p key, or produce it by draining
-     * @p make()'s source. First-writer-wins on races. @p make must be
+     * Return the trace cached under @p key, or produce it via
+     * @p produce (typically MaterializedTrace::fromSource over the
+     * key's source chain, which also captures TimeSampler counts at
+     * drain time). First-writer-wins on races. @p produce must be
      * deterministic for the key.
-     */
-    std::shared_ptr<const MaterializedTrace> getOrMaterialize(
-        const std::string &key,
-        const std::function<std::unique_ptr<TraceSource>()> &make)
-        SBSIM_EXCLUDES(mutex_);
-
-    /**
-     * As above with a producer that builds the trace itself, for
-     * chains whose metadata (TimeSampler counts) must be captured at
-     * drain time. @p produce must be deterministic for the key.
      */
     std::shared_ptr<const MaterializedTrace> getOrMaterializeTrace(
         const std::string &key,

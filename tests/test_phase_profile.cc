@@ -4,18 +4,27 @@
  * selector behind --fidelity=sampled: plan invariants (weights
  * reconstruct the trace length, warmup bounds, ordering), the exact
  * fallback on short traces, phase discrimination on a synthetic
- * two-phase stream, and determinism.
+ * two-phase stream, determinism, and a differential battery pinning
+ * the profiler to a plain reference loop on every registry program
+ * and on adversarial traces.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <unordered_map>
 #include <vector>
 
+#include "mem/block.hh"
 #include "trace/materialized_trace.hh"
 #include "trace/phase_profile.hh"
 #include "trace/source.hh"
 #include "trace/time_sampler.hh"
+#include "util/bitutil.hh"
+#include "util/log_histogram.hh"
+#include "util/random.hh"
 #include "workloads/benchmark.hh"
 
 using namespace sbsim;
@@ -39,13 +48,111 @@ appendLoopPhase(std::vector<MemAccess> &v, std::uint64_t n, Addr base)
         v.push_back(makeLoad(base + (i % 8) * 64));
 }
 
-MaterializedTrace
+std::shared_ptr<const MaterializedTrace>
+traceOf(std::vector<MemAccess> refs)
+{
+    VectorSource src(std::move(refs));
+    return MaterializedTrace::fromSource(src);
+}
+
+std::shared_ptr<const MaterializedTrace>
+materializeBenchmark(const Benchmark &b, std::uint64_t refs,
+                     ScaleLevel level = ScaleLevel::SMALL)
+{
+    auto workload = b.makeWorkload(level);
+    TruncatingSource limited(*workload, refs);
+    return MaterializedTrace::fromSource(limited);
+}
+
+std::shared_ptr<const MaterializedTrace>
 materializeBenchmark(const char *name, std::uint64_t refs)
 {
-    const Benchmark &b = findBenchmark(name);
-    auto workload = b.makeWorkload(ScaleLevel::SMALL);
-    TruncatingSource limited(*workload, refs);
-    return MaterializedTrace(MaterializedTrace::drainVector(limited));
+    return materializeBenchmark(findBenchmark(name), refs);
+}
+
+/**
+ * The profiling loop the profiler replaced, kept as its reference: a
+ * std::unordered_map last-touch probe and a division by intervalRefs
+ * per reference, reuse times in one Log2Histogram per interval folded
+ * to octaves by bucket lower bound.
+ */
+std::vector<IntervalProfile>
+referenceProfiles(const MaterializedTrace &trace,
+                  const PhaseProfileConfig &config)
+{
+    const std::uint64_t n = trace.size();
+    const std::uint64_t intervals =
+        (n + config.intervalRefs - 1) / config.intervalRefs;
+    std::vector<IntervalProfile> profiles(intervals);
+    std::vector<Log2Histogram> reuse(intervals);
+    const BlockMapper mapper(config.blockBytes);
+    std::unordered_map<std::uint64_t, std::uint64_t> lastPos;
+    for (std::uint64_t pos = 0; pos < n; ++pos) {
+        IntervalProfile &p = profiles[pos / config.intervalRefs];
+        if (p.length == 0)
+            p.begin = pos;
+        ++p.length;
+        const MemAccess &a = trace.data()[pos];
+        if (a.isInstruction())
+            ++p.ifetch;
+        if (a.isWrite())
+            ++p.stores;
+        auto [it, inserted] =
+            lastPos.try_emplace(mapper.blockNumber(a.addr), pos);
+        if (inserted) {
+            ++p.cold;
+        } else {
+            reuse[pos / config.intervalRefs].add(pos - it->second);
+            it->second = pos;
+        }
+    }
+    for (std::size_t i = 0; i < intervals; ++i) {
+        reuse[i].forEachBucket(
+            [&](std::uint64_t lower, std::uint64_t, std::uint64_t count) {
+                std::size_t bin = lower == 0 ? 0 : floorLog2(lower) + 1;
+                profiles[i].reuse[std::min(bin, kReuseOctaves - 1)] +=
+                    count;
+            });
+    }
+    return profiles;
+}
+
+/** Plans equal in every field, weights bit for bit. */
+void
+expectSamePlan(const SamplingPlan &got, const SamplingPlan &want)
+{
+    EXPECT_EQ(got.config.key(), want.config.key());
+    EXPECT_EQ(got.totalRefs, want.totalRefs);
+    EXPECT_EQ(got.intervalsTotal, want.intervalsTotal);
+    EXPECT_EQ(got.exact, want.exact);
+    ASSERT_EQ(got.selected.size(), want.selected.size());
+    for (std::size_t i = 0; i < got.selected.size(); ++i) {
+        const SampledInterval &g = got.selected[i];
+        const SampledInterval &w = want.selected[i];
+        EXPECT_EQ(g.begin, w.begin) << "interval " << i;
+        EXPECT_EQ(g.length, w.length) << "interval " << i;
+        EXPECT_EQ(g.warmupBegin, w.warmupBegin) << "interval " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(g.weight),
+                  std::bit_cast<std::uint64_t>(w.weight))
+            << "interval " << i << ": " << g.weight << " vs " << w.weight;
+    }
+}
+
+/** The profiler and the reference loop agree on every interval's
+ *  counts, and so on the plan built from them. */
+void
+expectMatchesReference(const MaterializedTrace &trace,
+                       const PhaseProfileConfig &config = {})
+{
+    const std::vector<IntervalProfile> want =
+        referenceProfiles(trace, config);
+    const std::vector<IntervalProfile> got =
+        profileIntervals(trace, config);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_TRUE(got[i] == want[i]) << "interval " << i;
+    expectSamePlan(buildSamplingPlan(trace, config),
+                   selectIntervals(want, config));
 }
 
 /** The estimator identity every plan must satisfy: the weighted sum
@@ -112,8 +219,8 @@ TEST(PhaseProfile, ShortTraceDegeneratesToExact)
 {
     std::vector<MemAccess> v;
     appendStreamingPhase(v, 4000, 0);
-    MaterializedTrace trace(std::move(v));
-    SamplingPlan plan = buildSamplingPlan(trace);
+    auto trace = traceOf(std::move(v));
+    SamplingPlan plan = buildSamplingPlan(*trace);
     EXPECT_TRUE(plan.exact);
     EXPECT_EQ(plan.intervalsTotal, 1u);
     ASSERT_EQ(plan.selected.size(), 1u);
@@ -131,8 +238,8 @@ TEST(PhaseProfile, UniformTraceSelectsOneInterval)
     // simulates a single interval whose weight covers all of them.
     std::vector<MemAccess> v;
     appendLoopPhase(v, 120000, 0);
-    MaterializedTrace trace(std::move(v));
-    SamplingPlan plan = buildSamplingPlan(trace);
+    auto trace = traceOf(std::move(v));
+    SamplingPlan plan = buildSamplingPlan(*trace);
     EXPECT_FALSE(plan.exact);
     EXPECT_EQ(plan.intervalsTotal, 24u);
     ASSERT_EQ(plan.selected.size(), 1u);
@@ -148,8 +255,8 @@ TEST(PhaseProfile, DistinctPhasesGetDistinctRepresentatives)
     std::vector<MemAccess> v;
     appendStreamingPhase(v, 60000, 0);
     appendLoopPhase(v, 60000, 1 << 30);
-    MaterializedTrace trace(std::move(v));
-    SamplingPlan plan = buildSamplingPlan(trace);
+    auto trace = traceOf(std::move(v));
+    SamplingPlan plan = buildSamplingPlan(*trace);
     EXPECT_FALSE(plan.exact);
     EXPECT_EQ(plan.intervalsTotal, 24u);
     ASSERT_GE(plan.selected.size(), 2u);
@@ -168,8 +275,8 @@ TEST(PhaseProfile, DistinctPhasesGetDistinctRepresentatives)
 
 TEST(PhaseProfile, BenchmarkPlanSatisfiesInvariantsAndSaves)
 {
-    MaterializedTrace trace = materializeBenchmark("mgrid", 300000);
-    SamplingPlan plan = buildSamplingPlan(trace);
+    auto trace = materializeBenchmark("mgrid", 300000);
+    SamplingPlan plan = buildSamplingPlan(*trace);
     EXPECT_FALSE(plan.exact);
     EXPECT_EQ(plan.intervalsTotal, 60u);
     expectPlanInvariants(plan);
@@ -180,9 +287,9 @@ TEST(PhaseProfile, BenchmarkPlanSatisfiesInvariantsAndSaves)
 
 TEST(PhaseProfile, PlanIsDeterministic)
 {
-    MaterializedTrace trace = materializeBenchmark("appsp", 200000);
-    SamplingPlan a = buildSamplingPlan(trace);
-    SamplingPlan b = buildSamplingPlan(trace);
+    auto trace = materializeBenchmark("appsp", 200000);
+    SamplingPlan a = buildSamplingPlan(*trace);
+    SamplingPlan b = buildSamplingPlan(*trace);
     ASSERT_EQ(a.selected.size(), b.selected.size());
     EXPECT_EQ(a.totalRefs, b.totalRefs);
     EXPECT_EQ(a.intervalsTotal, b.intervalsTotal);
@@ -202,10 +309,10 @@ TEST(PhaseProfile, WarmupCappedAtTraceStart)
     std::vector<MemAccess> v;
     appendStreamingPhase(v, 60000, 0);
     appendLoopPhase(v, 60000, 1 << 30);
-    MaterializedTrace trace(std::move(v));
+    auto trace = traceOf(std::move(v));
     PhaseProfileConfig config;
     config.warmupRefs = 2500;
-    SamplingPlan plan = buildSamplingPlan(trace, config);
+    SamplingPlan plan = buildSamplingPlan(*trace, config);
     for (const SampledInterval &s : plan.selected) {
         if (s.begin == 0)
             EXPECT_EQ(s.warmupLength(), 0u);
@@ -213,4 +320,78 @@ TEST(PhaseProfile, WarmupCappedAtTraceStart)
             EXPECT_EQ(s.warmupLength(),
                       std::min<std::uint64_t>(s.begin, 2500));
     }
+}
+
+TEST(PhaseProfileReference, EveryRegistryProgramMatches)
+{
+    // Every program's default-scale trace at the daemon's request
+    // size, so the index grows through many doublings.
+    for (const Benchmark &b : allBenchmarks()) {
+        SCOPED_TRACE(b.name);
+        expectMatchesReference(
+            *materializeBenchmark(b, 1500000, ScaleLevel::DEFAULT));
+    }
+}
+
+TEST(PhaseProfileReference, NonDefaultConfigMatches)
+{
+    PhaseProfileConfig config;
+    config.intervalRefs = 777;
+    config.blockBytes = 128;
+    config.maxClusters = 7;
+    expectMatchesReference(*materializeBenchmark("trfd", 200000), config);
+}
+
+TEST(PhaseProfileReference, BlocksOverTheWhole64BitRangeMatch)
+{
+    // Random addresses from the whole 64-bit range, including both
+    // ends, revisited from a pool so there are reuses at every
+    // distance; with 1-byte blocks the block numbers span it too.
+    Pcg32 rng(13);
+    std::vector<Addr> pool = {0, 1, ~Addr{0}, ~Addr{0} - 31,
+                              Addr{1} << 63};
+    while (pool.size() < 6000)
+        pool.push_back(rng.next64());
+    // Large power-of-two strides all share their low bits.
+    for (Addr k = 1; k <= 512; ++k)
+        pool.push_back(k << 40);
+    std::vector<MemAccess> v;
+    const auto poolSize = static_cast<std::uint32_t>(pool.size());
+    for (std::uint32_t i = 0; i < 60000; ++i) {
+        const Addr a = pool[i < poolSize ? i : rng.below(poolSize)];
+        v.push_back(i % 5 == 0 ? makeStore(a) : makeLoad(a));
+    }
+    auto trace = traceOf(std::move(v));
+    expectMatchesReference(*trace);
+    PhaseProfileConfig bytes;
+    bytes.blockBytes = 1;
+    expectMatchesReference(*trace, bytes);
+}
+
+TEST(PhaseProfileReference, OneRepeatedBlockMatches)
+{
+    std::vector<MemAccess> v(40000, makeLoad(0xdead0000));
+    expectMatchesReference(*traceOf(std::move(v)));
+}
+
+TEST(PhaseProfileReference, PartialLastIntervalMatches)
+{
+    // 7 full intervals and a short eighth: the last interval's length
+    // and the weights built from it must match.
+    std::vector<MemAccess> v;
+    appendStreamingPhase(v, 20000, 0);
+    appendLoopPhase(v, 16234, 1 << 30);
+    auto trace = traceOf(std::move(v));
+    ASSERT_NE(trace->size() % PhaseProfileConfig{}.intervalRefs, 0u);
+    expectMatchesReference(*trace);
+    EXPECT_EQ(profileIntervals(*trace).back().length, 36234u % 5000u);
+}
+
+TEST(PhaseProfileReference, EmptyAndSingleIntervalTracesMatch)
+{
+    expectMatchesReference(*traceOf({}));
+    EXPECT_TRUE(profileIntervals(*traceOf({})).empty());
+    std::vector<MemAccess> v;
+    appendStreamingPhase(v, 5000, 0);
+    expectMatchesReference(*traceOf(std::move(v)));
 }

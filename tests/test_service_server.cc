@@ -165,8 +165,8 @@ TEST(ServiceServer, ManyClientsCoalesceOnTheSharedTraceCache)
     // were not actually sharing.
     const RunSpec spec = testSpec();
     std::shared_ptr<const MaterializedTrace> pin =
-        cache.getOrMaterialize(specSourceKey(spec), [&spec] {
-            return makeSpecInput(spec);
+        cache.getOrMaterializeTrace(specSourceKey(spec), [&spec] {
+            return materializeSpecInput(spec);
         });
     ASSERT_TRUE(pin);
     ASSERT_EQ(cache.stats().refTracesMaterialized, 1u);

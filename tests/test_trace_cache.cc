@@ -39,9 +39,16 @@ patternRefs(std::size_t n)
 }
 
 std::shared_ptr<const MaterializedTrace>
+traceOf(std::vector<MemAccess> refs)
+{
+    VectorSource src(std::move(refs));
+    return MaterializedTrace::fromSource(src);
+}
+
+std::shared_ptr<const MaterializedTrace>
 patternTrace(std::size_t n)
 {
-    return std::make_shared<const MaterializedTrace>(patternRefs(n));
+    return traceOf(patternRefs(n));
 }
 
 /** Drain @p view one reference at a time. */
@@ -60,7 +67,7 @@ drainNext(SharedTraceView &view)
 TEST(SharedTraceView, NextBatchAndSpanDeliverTheSameSequence)
 {
     const std::vector<MemAccess> refs = patternRefs(1000);
-    auto trace = std::make_shared<const MaterializedTrace>(refs);
+    auto trace = traceOf(refs);
 
     SharedTraceView by_next(trace);
     std::vector<MemAccess> got_next = drainNext(by_next);
@@ -100,7 +107,7 @@ TEST(SharedTraceView, ExhaustionIsSticky)
 TEST(SharedTraceView, ResetRestartsFromTheBeginning)
 {
     const std::vector<MemAccess> refs = patternRefs(64);
-    auto trace = std::make_shared<const MaterializedTrace>(refs);
+    auto trace = traceOf(refs);
     SharedTraceView view(trace);
 
     MemAccess a;
@@ -121,7 +128,7 @@ TEST(SharedTraceView, ResetRestartsFromTheBeginning)
 TEST(SharedTraceView, MixedConsumptionMatchesTheBuffer)
 {
     const std::vector<MemAccess> refs = patternRefs(300);
-    auto trace = std::make_shared<const MaterializedTrace>(refs);
+    auto trace = traceOf(refs);
     SharedTraceView view(trace);
 
     std::vector<MemAccess> got;
@@ -143,7 +150,7 @@ TEST(SharedTraceView, ConcurrentConsumersSeeTheFullSequence)
     // must observe exactly the materialised sequence; tsan verifies
     // the sharing is race-free.
     const std::vector<MemAccess> refs = patternRefs(20000);
-    auto trace = std::make_shared<const MaterializedTrace>(refs);
+    auto trace = traceOf(refs);
 
     std::vector<std::vector<MemAccess>> got(4);
     std::vector<std::thread> threads;
@@ -179,15 +186,15 @@ TEST(TraceCache, MemoisesPerKeyAndCountsHits)
     cache.clear();
 
     std::atomic<int> builds{0};
-    auto make = [&]() -> std::unique_ptr<TraceSource> {
+    auto make = [&] {
         ++builds;
-        return std::make_unique<VectorSource>(patternRefs(500));
+        return patternTrace(500);
     };
 
-    auto first = cache.getOrMaterialize("k1", make);
+    auto first = cache.getOrMaterializeTrace("k1", make);
     ASSERT_TRUE(first);
     EXPECT_EQ(first->size(), 500u);
-    auto second = cache.getOrMaterialize("k1", make);
+    auto second = cache.getOrMaterializeTrace("k1", make);
     EXPECT_EQ(first.get(), second.get());
     EXPECT_EQ(builds.load(), 1);
 
@@ -222,9 +229,9 @@ TEST(TraceCache, ConcurrentMaterialiseIsFirstWriterWins)
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
-            got[t] = cache.getOrMaterialize("race", [&] {
+            got[t] = cache.getOrMaterializeTrace("race", [&] {
                 ++builds;
-                return std::make_unique<VectorSource>(patternRefs(256));
+                return patternTrace(256);
             });
         });
     }

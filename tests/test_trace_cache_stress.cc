@@ -2,12 +2,12 @@
  * @file
  * Concurrency stress for the TraceCache registry, exercising the lock
  * contract the thread-safety annotations document (trace_cache.hh):
- * many threads hammering getOrMaterialize/getOrRecord over identical
- * *and* distinct keys, interleaved with lookups and stats snapshots,
- * then weak-pointer eviction and re-materialization. Runs in the
- * sweep test binary so the `tsan` CTest label picks it up; under
- * -fsanitize=thread this is the dynamic check backing the static
- * SBSIM_GUARDED_BY wall.
+ * many threads hammering getOrMaterializeTrace/getOrRecord over
+ * identical *and* distinct keys, interleaved with lookups and stats
+ * snapshots, then weak-pointer eviction and re-materialization. Runs
+ * in the sweep test binary so the `tsan` CTest label picks it up;
+ * under -fsanitize=thread this is the dynamic check backing the
+ * static SBSIM_GUARDED_BY wall.
  *
  * The load-bearing assertions: every thread adopts the same copy per
  * key (first-writer-wins), and refTracesMaterialized counts exactly
@@ -50,6 +50,13 @@ patternRefs(std::size_t n)
     return refs;
 }
 
+std::shared_ptr<const MaterializedTrace>
+patternTrace(std::size_t n)
+{
+    VectorSource src(patternRefs(n));
+    return MaterializedTrace::fromSource(src);
+}
+
 std::string
 refKey(std::size_t k)
 {
@@ -83,11 +90,11 @@ TEST(TraceCacheStress, ParallelGetOverSharedAndDistinctKeys)
         threads.emplace_back([&, t] {
             for (std::size_t i = 0; i < kKeys; ++i) {
                 std::size_t k = (i + static_cast<std::size_t>(t)) % kKeys;
-                got[t][k] = cache.getOrMaterialize(refKey(k), [&, k] {
-                    ++builds;
-                    return std::make_unique<VectorSource>(
-                        patternRefs(refLen(k)));
-                });
+                got[t][k] =
+                    cache.getOrMaterializeTrace(refKey(k), [&, k] {
+                        ++builds;
+                        return patternTrace(refLen(k));
+                    });
                 // Interleave the read-only entry points with the
                 // populating ones; tsan watches the whole mix.
                 if (i % 3 == 0)
@@ -130,9 +137,8 @@ TEST(TraceCacheStress, EvictionAndRematerializationUnderThreads)
     // Populate, then drop every strong reference: the weak entries
     // expire and the registry must report the keys gone.
     for (std::size_t k = 0; k < kKeys; ++k) {
-        cache.getOrMaterialize(refKey(k), [&, k] {
-            return std::make_unique<VectorSource>(
-                patternRefs(refLen(k)));
+        cache.getOrMaterializeTrace(refKey(k), [&, k] {
+            return patternTrace(refLen(k));
         });
     }
     EXPECT_EQ(cache.stats().refTracesMaterialized, kKeys);
@@ -152,10 +158,10 @@ TEST(TraceCacheStress, EvictionAndRematerializationUnderThreads)
             for (std::size_t i = 0; i < kKeys; ++i) {
                 std::size_t k =
                     (kKeys - 1 - i + static_cast<std::size_t>(t)) % kKeys;
-                got[t][k] = cache.getOrMaterialize(refKey(k), [&, k] {
-                    return std::make_unique<VectorSource>(
-                        patternRefs(refLen(k)));
-                });
+                got[t][k] =
+                    cache.getOrMaterializeTrace(refKey(k), [&, k] {
+                        return patternTrace(refLen(k));
+                    });
             }
         });
     }
@@ -199,9 +205,8 @@ TEST(TraceCacheStress, GenerationsOfDropAndRematerializeStayBounded)
                     std::size_t k =
                         (i + static_cast<std::size_t>(t)) % kKeys;
                     refs[t][k] =
-                        cache.getOrMaterialize(refKey(k), [&, k] {
-                            return std::make_unique<VectorSource>(
-                                patternRefs(refLen(k)));
+                        cache.getOrMaterializeTrace(refKey(k), [&, k] {
+                            return patternTrace(refLen(k));
                         });
                     misses[t][k] = cache.getOrRecord(
                         "gen-miss-" + std::to_string(k), [k] {
