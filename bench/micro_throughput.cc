@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "cache/cache.hh"
+#include "service/run_spec.hh"
 #include "sim/experiment.hh"
 #include "sim/l2_study.hh"
 #include "sim/memory_system.hh"
@@ -102,6 +103,39 @@ BM_RunBenchmark(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations() * kRefs));
 }
 BENCHMARK(BM_RunBenchmark)->Unit(benchmark::kMillisecond);
+
+/**
+ * The full system the paper's scaling study runs, one request as the
+ * benchmark's distinct-runs workload sends it: executeRun with the
+ * trace cache off over mgrid, with shuffled pages, an 8-entry victim
+ * buffer, 10 streams behind the unit filter and czone detection, a
+ * 256 KB hybrid L2 priced by simulation and by the analytic model,
+ * and a 4-cycle bus. Items are references.
+ */
+void
+BM_FullSystemRun(benchmark::State &state)
+{
+    service::RunSpec spec;
+    spec.benchmark = "mgrid";
+    spec.refs = 1500000;
+    spec.streams = 10;
+    spec.unitFilter = true;
+    spec.czoneBits = 18;
+    spec.victimEntries = 8;
+    spec.shuffledPages = true;
+    spec.l2KiloBytes = 256;
+    spec.l2Model = L2ModelKind::BOTH;
+    spec.busCycles = 4;
+    std::uint64_t refs = 0;
+    for (auto _ : state) {
+        service::RunExecution exec =
+            service::executeRun(spec, nullptr, /*use_trace_cache=*/false);
+        refs += exec.references;
+        benchmark::DoNotOptimize(exec.output);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(refs));
+}
+BENCHMARK(BM_FullSystemRun)->Unit(benchmark::kMillisecond);
 
 /**
  * The sampled-fidelity pipeline end to end: materialise the trace,

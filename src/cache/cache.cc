@@ -47,7 +47,9 @@ Cache::Cache(const CacheConfig &config, std::string name)
                        config.assoc > 1),
       policyTracksFill_(config.replacement != ReplacementKind::RANDOM &&
                         config.assoc > 1),
-      lines_(static_cast<std::size_t>(config.numSets()) * config.assoc),
+      tags_(static_cast<std::size_t>(config.numSets()) * config.assoc,
+            kNoTag),
+      dirty_(tags_.size(), 0),
       mruWay_(config.numSets(), 0),
       policy_(makeReplacementPolicy(config.replacement, config.numSets(),
                                     config.assoc, config.seed))
@@ -65,32 +67,29 @@ Cache::tagOf(Addr a) const
     return a >> tagShift_;
 }
 
-Cache::Line &
-Cache::lineAt(std::uint32_t set, std::uint32_t way)
+std::size_t
+Cache::slot(std::uint32_t set, std::uint32_t way) const
 {
-    return lines_[static_cast<std::size_t>(set) * config_.assoc + way];
-}
-
-const Cache::Line &
-Cache::lineAt(std::uint32_t set, std::uint32_t way) const
-{
-    return lines_[static_cast<std::size_t>(set) * config_.assoc + way];
+    return static_cast<std::size_t>(set) * config_.assoc + way;
 }
 
 int
 Cache::findWay(std::uint32_t set, Addr tag) const
 {
-    // Locality makes the most recently touched way the likely hit;
-    // probing it first makes the common case one comparison.
+    if (tag == kNoTag) {
+        // Only 1-byte blocks in one set get here (see kNoTag).
+        return onesWay_ == kNoWay ? -1 : static_cast<int>(onesWay_);
+    }
+    // Invalid ways hold kNoTag, which no other tag equals, so one
+    // compare per way decides. Locality makes the most recently
+    // touched way the likely hit; probing it first makes the common
+    // case one comparison (re-probing it in the scan cannot match).
+    const Addr *ways = &tags_[slot(set, 0)];
     std::uint32_t mru = mruWay_[set];
-    const Line &mru_line = lineAt(set, mru);
-    if (mru_line.valid && mru_line.tag == tag)
+    if (ways[mru] == tag)
         return static_cast<int>(mru);
     for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        if (w == mru)
-            continue;
-        const Line &line = lineAt(set, w);
-        if (line.valid && line.tag == tag)
+        if (ways[w] == tag)
             return static_cast<int>(w);
     }
     return -1;
@@ -102,15 +101,20 @@ Cache::auditSet(std::uint32_t set) const
     SBSIM_ASSERT(set < numSets_, "audit of set ", set, " of ", numSets_);
     SBSIM_ASSERT(mruWay_[set] < config_.assoc,
                  "MRU hint ", mruWay_[set], " out of range in set ", set);
+    SBSIM_ASSERT(onesWay_ == kNoWay ||
+                     (tagShift_ == 0 && onesWay_ < config_.assoc &&
+                      tags_[onesWay_] == kNoTag),
+                 "all-ones tag recorded in way ", onesWay_,
+                 " with tag shift ", tagShift_);
     // Distinct valid tags: a duplicate means findWay's MRU-first probe
     // order could return a different way than a linear scan, breaking
-    // hit/victim determinism.
+    // hit/victim determinism. (Only onesWay_ may validly hold kNoTag.)
+    const std::size_t base = slot(set, 0);
     for (std::uint32_t a = 0; a < config_.assoc; ++a) {
-        if (!lineAt(set, a).valid)
+        if (tags_[base + a] == kNoTag)
             continue;
         for (std::uint32_t b = a + 1; b < config_.assoc; ++b) {
-            SBSIM_ASSERT(!lineAt(set, b).valid ||
-                             lineAt(set, a).tag != lineAt(set, b).tag,
+            SBSIM_ASSERT(tags_[base + a] != tags_[base + b],
                          "duplicate tag in set ", set, " ways ", a, "/",
                          b);
         }
@@ -121,32 +125,48 @@ Cache::auditSet(std::uint32_t set) const
 std::uint32_t
 Cache::evictFrom(std::uint32_t set, CacheResult &result)
 {
-    // Prefer an invalid way.
+    const std::size_t base = slot(set, 0);
+    // Prefer an invalid way. (onesWay_ is only ever set in a
+    // single-set cache, so comparing the way alone is enough.)
     for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        if (!lineAt(set, w).valid)
+        if (tags_[base + w] == kNoTag && w != onesWay_)
             return w;
     }
     // Direct-mapped: the only way is the victim; skip the policy.
     std::uint32_t w = config_.assoc == 1 ? 0u : policy_->victim(set);
     SBSIM_ASSERT(w < config_.assoc, "policy returned way ", w);
-    Line &line = lineAt(set, w);
-    Addr victim_base = (line.tag << tagShift_) |
+    const Addr tag = tags_[base + w];
+    Addr victim_base = (tag << tagShift_) |
                        (static_cast<Addr>(set) << setShift_);
     // The reconstruction must round-trip: a wrong tagShift_ would
     // write back / invalidate a block the victim never was.
-    SBSIM_AUDIT(setIndex(victim_base) == set &&
-                    tagOf(victim_base) == line.tag,
+    SBSIM_AUDIT(setIndex(victim_base) == set && tagOf(victim_base) == tag,
                 "victim address ", victim_base,
                 " does not map back to set ", set);
     result.victimEvicted = true;
     result.victimAddr = victim_base;
-    if (line.dirty && config_.writeBack) {
+    if (dirty_[base + w] && config_.writeBack) {
         result.writeback = true;
         result.writebackAddr = victim_base;
         ++writebacks_;
     }
-    line.valid = false;
+    tags_[base + w] = kNoTag;
+    if (w == onesWay_)
+        onesWay_ = kNoWay;
     return w;
+}
+
+void
+Cache::install(std::uint32_t set, std::uint32_t way, Addr tag, bool dirty)
+{
+    const std::size_t s = slot(set, way);
+    tags_[s] = tag;
+    dirty_[s] = dirty;
+    if (tag == kNoTag)
+        onesWay_ = way;
+    mruWay_[set] = way;
+    if (policyTracksFill_)
+        policy_->fill(set, way);
 }
 
 // analyze:hot-path
@@ -168,7 +188,7 @@ Cache::access(const MemAccess &access)
             policy_->touch(set, static_cast<std::uint32_t>(way));
         if (access.isWrite()) {
             if (config_.writeBack)
-                lineAt(set, static_cast<std::uint32_t>(way)).dirty = true;
+                dirty_[slot(set, static_cast<std::uint32_t>(way))] = 1;
             // Write-through would send the word to memory; traffic for
             // that mode is accounted by the caller.
         }
@@ -185,13 +205,7 @@ Cache::access(const MemAccess &access)
     }
 
     std::uint32_t fill_way = evictFrom(set, result);
-    Line &line = lineAt(set, fill_way);
-    line.tag = tag;
-    line.valid = true;
-    line.dirty = access.isWrite() && config_.writeBack;
-    mruWay_[set] = fill_way;
-    if (policyTracksFill_)
-        policy_->fill(set, fill_way);
+    install(set, fill_way, tag, access.isWrite() && config_.writeBack);
     result.filled = true;
 #ifdef STREAMSIM_CHECKED
     auditSet(set);
@@ -211,20 +225,14 @@ Cache::fill(Addr a, bool dirty)
     if (way >= 0) {
         // Already present: just update dirty state.
         if (dirty)
-            lineAt(set, static_cast<std::uint32_t>(way)).dirty = true;
+            dirty_[slot(set, static_cast<std::uint32_t>(way))] = 1;
         mruWay_[set] = static_cast<std::uint32_t>(way);
         result.hit = true;
         return result;
     }
 
     std::uint32_t fill_way = evictFrom(set, result);
-    Line &line = lineAt(set, fill_way);
-    line.tag = tag;
-    line.valid = true;
-    line.dirty = dirty;
-    mruWay_[set] = fill_way;
-    if (policyTracksFill_)
-        policy_->fill(set, fill_way);
+    install(set, fill_way, tag, dirty);
     result.filled = true;
 #ifdef STREAMSIM_CHECKED
     auditSet(set);
@@ -245,16 +253,18 @@ Cache::invalidate(Addr a)
     int way = findWay(set, tagOf(a));
     if (way < 0)
         return false;
-    lineAt(set, static_cast<std::uint32_t>(way)).valid = false;
+    tags_[slot(set, static_cast<std::uint32_t>(way))] = kNoTag;
+    if (static_cast<std::uint32_t>(way) == onesWay_)
+        onesWay_ = kNoWay;
     return true;
 }
 
 std::uint64_t
 Cache::residentBlocks() const
 {
-    std::uint64_t n = 0;
-    for (const auto &line : lines_)
-        if (line.valid)
+    std::uint64_t n = onesWay_ == kNoWay ? 0 : 1;
+    for (Addr tag : tags_)
+        if (tag != kNoTag)
             ++n;
     return n;
 }
@@ -262,8 +272,9 @@ Cache::residentBlocks() const
 void
 Cache::reset()
 {
-    for (auto &line : lines_)
-        line = Line{};
+    std::fill(tags_.begin(), tags_.end(), kNoTag);
+    std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
+    onesWay_ = kNoWay;
     std::fill(mruWay_.begin(), mruWay_.end(), 0u);
     policy_->reset();
     accesses_.reset();

@@ -112,18 +112,24 @@ class Cache
     StatGroup stats() const;
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
+    /**
+     * Tag word of an invalid way. A tag is the address shifted right
+     * by tagShift_, so it can only be all ones when tagShift_ == 0:
+     * 1-byte blocks in a single set. There onesWay_ marks the way
+     * that holds that block.
+     */
+    static constexpr Addr kNoTag = ~Addr{0};
+    /** onesWay_ when no way holds the all-ones tag. */
+    static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
 
     std::uint32_t setIndex(Addr a) const;
     Addr tagOf(Addr a) const;
-    Line &lineAt(std::uint32_t set, std::uint32_t way);
-    const Line &lineAt(std::uint32_t set, std::uint32_t way) const;
+    std::size_t slot(std::uint32_t set, std::uint32_t way) const;
     int findWay(std::uint32_t set, Addr tag) const;
+
+    /** Make @p way of @p set hold @p tag; the way must be free. */
+    void install(std::uint32_t set, std::uint32_t way, Addr tag,
+                 bool dirty);
 
     /** Evict into @p result and return the way that became free. */
     std::uint32_t evictFrom(std::uint32_t set, CacheResult &result);
@@ -148,7 +154,13 @@ class Cache
      *  is always way 0). The hot paths skip the dead virtual calls. */
     bool policyTracksUse_;
     bool policyTracksFill_;
-    std::vector<Line> lines_;
+    /** One tag word per way, sets * assoc flat, kNoTag when the way
+     *  is invalid (see onesWay_). A probe reads 8 bytes per way. */
+    std::vector<Addr> tags_;
+    /** Dirty flag per way, beside the tags so probes never load it. */
+    std::vector<std::uint8_t> dirty_;
+    /** The way holding the all-ones tag, or kNoWay (see kNoTag). */
+    std::uint32_t onesWay_ = kNoWay;
     /** Last way hit or filled per set; probed first by findWay. */
     std::vector<std::uint32_t> mruWay_;
     std::unique_ptr<ReplacementPolicy> policy_;

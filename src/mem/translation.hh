@@ -19,6 +19,8 @@
 #ifndef STREAMSIM_MEM_TRANSLATION_HH
 #define STREAMSIM_MEM_TRANSLATION_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "mem/types.hh"
@@ -62,7 +64,25 @@ class PageMapper
     unsigned pageBits() const { return pageBits_; }
     std::uint64_t pageSize() const { return std::uint64_t{1} << pageBits_; }
 
+    /** Entries of the translation memo. */
+    static constexpr unsigned kMemoBits = 6;
+    static constexpr std::size_t kMemoEntries = std::size_t{1} << kMemoBits;
+
+    /**
+     * Memo slot of virtual page @p vpn: Fibonacci hashing of the
+     * whole VPN. Indexing by the low VPN bits instead would alias
+     * arrays laid out a multiple of kMemoEntries pages apart (mgrid's
+     * three 256 KB grids, say), which a stencil sweep touches in turn.
+     */
+    static constexpr std::size_t
+    memoSlot(std::uint64_t vpn)
+    {
+        return static_cast<std::size_t>((vpn * 0x9e3779b97f4a7c15ULL) >>
+                                        (64 - kMemoBits));
+    }
+
     /** Translate a virtual address to its physical address. */
+    // analyze:hot-path
     Addr
     translate(Addr vaddr) const
     {
@@ -70,20 +90,18 @@ class PageMapper
             return vaddr;
         Addr offset = vaddr & mask(pageBits_);
         std::uint64_t vpn = vaddr >> pageBits_;
-        // Single-entry TLB: references cluster on pages, so the
-        // Feistel walk is paid once per page run, not per reference.
-        if (vpn == lastVpn_)
-            return lastFrameBase_ | offset;
-        Addr frame_base;
-        if (vpn >> vpnBits_) {
+        // A small direct-mapped memo of recent pages: references
+        // cluster on a few pages at a time, even when a sweep
+        // interleaves several arrays, so the Feistel walk is paid
+        // about once per page run, not per reference.
+        MemoEntry &entry = memo_[memoSlot(vpn)];
+        if (entry.vpn != vpn) {
+            entry.vpn = vpn;
             // Outside the permuted window: keep frame identity.
-            frame_base = vpn << pageBits_;
-        } else {
-            frame_base = permute(vpn) << pageBits_;
+            entry.frameBase = (vpn >> vpnBits_ ? vpn : permute(vpn))
+                              << pageBits_;
         }
-        lastVpn_ = vpn;
-        lastFrameBase_ = frame_base;
-        return frame_base | offset;
+        return entry.frameBase | offset;
     }
 
   private:
@@ -120,11 +138,17 @@ class PageMapper
     unsigned vpnBits_;
     std::uint64_t seed_;
 
-    /** Memo of the last translated page (never a valid VPN at init).
-     *  Mutable: a pure cache of the deterministic permutation, so
-     *  translate() stays const for callers. */
-    mutable std::uint64_t lastVpn_ = ~std::uint64_t{0};
-    mutable Addr lastFrameBase_ = 0;
+    struct MemoEntry
+    {
+        /** Never a VPN: page_bits >= 6 keeps every VPN below 2^58. */
+        std::uint64_t vpn = ~std::uint64_t{0};
+        Addr frameBase = 0;
+    };
+
+    /** Memo of recently translated pages. Mutable: a pure cache of
+     *  the deterministic permutation, so translate() stays const for
+     *  callers. */
+    mutable std::array<MemoEntry, kMemoEntries> memo_{};
 };
 
 } // namespace sbsim

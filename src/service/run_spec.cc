@@ -1,6 +1,7 @@
 #include "run_spec.hh"
 
 #include <cmath>
+#include <optional>
 
 #include "sim/memory_system.hh"
 #include "trace/file_trace.hh"
@@ -212,13 +213,25 @@ executeRun(const RunSpec &spec, EventTrace *events,
     MemorySystem system(config);
     if (events)
         system.attachEventTrace(events);
-    // The recorder taps the post-L1 demand stream alongside the full
+    // The profiler taps the post-L1 demand stream alongside the full
     // simulation (it is orthogonal to the configured secondary
-    // level), so one run yields both the simulated L2 and the input
-    // of the analytic model.
-    MissTrace miss_trace;
-    if (l2_model != L2ModelKind::SIMULATED)
-        system.attachMissRecorder(&miss_trace);
+    // level), so one run yields both the simulated L2 and the
+    // analytic model's profile, with no miss trace stored between
+    // them. One exact conflict class for the configured L2 geometry;
+    // with it registered the distance histogram is never consulted,
+    // so skip its maintenance.
+    std::optional<ReuseProfiler> profile;
+    if (l2_model != L2ModelKind::SIMULATED) {
+        const bool covered =
+            config.l2.numSets() > 1 && config.l2.assoc <= 16;
+        profile.emplace(config.l2.blockSize,
+                        /*track_distances=*/!covered);
+        if (covered)
+            profile->trackGeometry(
+                static_cast<std::uint32_t>(config.l2.numSets()),
+                config.l2.assoc);
+        system.attachReuseProfiler(&*profile);
+    }
 
     RunExecution exec;
     std::uint64_t sampler_sampled = 0;
@@ -244,36 +257,22 @@ executeRun(const RunSpec &spec, EventTrace *events,
             sampler_skipped = sampler->skippedCount();
         }
     }
-    if (l2_model != L2ModelKind::SIMULATED)
-        system.finalizeMissRecorder();
     exec.output = collectOutput(system);
     exec.output.sampling.timeSamplerSampled = sampler_sampled;
     exec.output.sampling.timeSamplerSkipped = sampler_skipped;
 
-    if (l2_model != L2ModelKind::SIMULATED) {
-        // One exact conflict class for the configured L2 geometry;
-        // with it registered the distance histogram is never
-        // consulted, so skip its maintenance.
-        const bool covered =
-            config.l2.numSets() > 1 && config.l2.assoc <= 16;
-        ReuseProfiler profile(config.l2.blockSize,
-                              /*track_distances=*/!covered);
-        if (covered)
-            profile.trackGeometry(
-                static_cast<std::uint32_t>(config.l2.numSets()),
-                config.l2.assoc);
-        profileMissTraceInto(profile, miss_trace);
-        AnalyticL2Model model(profile);
+    if (profile) {
+        AnalyticL2Model model(*profile);
         L2AnalyticReport &rep = exec.output.l2Analytic;
         rep.model = toString(l2_model);
         rep.predictedMissRatioPct =
             model.predictMissRatioPercent(config.l2);
         rep.predictedHitRatePct =
             model.predictLocalHitRatePercent(config.l2);
-        rep.profiledMisses = profile.references();
-        rep.uniqueBlocks = profile.uniqueBlocks();
+        rep.profiledMisses = profile->references();
+        rep.uniqueBlocks = profile->uniqueBlocks();
         if (l2_model == L2ModelKind::BOTH && config.useL2 &&
-            profile.references() > 0) {
+            profile->references() > 0) {
             rep.simulatedMissRatioPct =
                 100.0 - exec.output.results.l2LocalHitRatePercent;
             rep.absErrorPct = std::abs(rep.predictedMissRatioPct -

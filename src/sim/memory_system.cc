@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "trace/materialized_trace.hh"
+#include "trace/reuse_profile.hh"
 #include "util/audit.hh"
 #include "util/logging.hh"
 
@@ -185,6 +186,8 @@ MemorySystem::secondaryDemand(const MemAccess &access)
 {
     if (missRecorder_)
         recordMissEvent(MissRecord::Kind::DEMAND, access);
+    if (reuseProfiler_)
+        reuseProfiler_->onAccess(access.addr);
 
     // Consult the streams next.
     if (engine_) {
@@ -324,6 +327,14 @@ MemorySystem::attachMissRecorder(MissTrace *trace)
 }
 
 void
+MemorySystem::attachReuseProfiler(ReuseProfiler *profiler)
+{
+    SBSIM_ASSERT(!finished_ && !warmed_,
+                 "attachReuseProfiler on a finished/warmed system");
+    reuseProfiler_ = profiler;
+}
+
+void
 MemorySystem::finalizeMissRecorder()
 {
     SBSIM_ASSERT(missRecorder_, "finalizeMissRecorder without recorder");
@@ -362,6 +373,7 @@ MemorySystem::endWarmup()
     SBSIM_ASSERT(!finished_ && !replayed_ && !warmed_,
                  "endWarmup on a finished/replayed/warmed system");
     SBSIM_ASSERT(!missRecorder_, "endWarmup while recording");
+    SBSIM_ASSERT(!reuseProfiler_, "endWarmup while profiling");
     WarmupBase &b = warmupBase_;
     b.iAccesses = l1_.icache().accesses();
     b.dAccesses = l1_.dcache().accesses();

@@ -33,6 +33,8 @@
 
 namespace sbsim {
 
+class ReuseProfiler;
+
 /** Static configuration of the simulated system. */
 struct MemorySystemConfig
 {
@@ -202,20 +204,14 @@ class MemorySystem
     StreamEngineStats engineStatsSinceWarmup() const;
 
     /**
-     * Record the post-L1 stream (demand misses, software-prefetch
-     * fetches, write-backs, with front-end cycle deltas) into
-     * @p trace while accesses are processed. Caller-owned; must
-     * outlive the run. Call finalizeMissRecorder() afterwards to fill
-     * the trace's front-end summary. Recording is orthogonal to the
-     * configured secondary level, but the canonical recording config
-     * (see recordMissTrace) disables streams/L2/bus so the recording
-     * run is itself cheap.
+     * Feed @p profiler every demand miss that reaches the secondary
+     * level (one that escaped the L1 and the victim buffer), in
+     * order, while accesses are processed: the stream of DEMAND
+     * records recordMissTrace would write, profiled without storing
+     * it. Caller-owned; must outlive the run. Orthogonal to the
+     * configured secondary level.
      */
-    void attachMissRecorder(MissTrace *trace);
-
-    /** Flush trailing cycle deltas and capture the front-end summary
-     *  into the attached recorder. Must precede finish(). */
-    void finalizeMissRecorder();
+    void attachReuseProfiler(ReuseProfiler *profiler);
 
     /**
      * Drive only the secondary level (streams / L2 / bus / memory)
@@ -252,6 +248,23 @@ class MemorySystem
     }
 
   private:
+    friend MissTrace recordMissTrace(TraceSource &src,
+                                     const MemorySystemConfig &config);
+
+    /**
+     * Record the post-L1 stream (demand misses, software-prefetch
+     * fetches, write-backs, with front-end cycle deltas) into
+     * @p trace while accesses are processed. Caller-owned; must
+     * outlive the run. Call finalizeMissRecorder() afterwards to fill
+     * the trace's front-end summary. Only recordMissTrace records: it
+     * disables streams/L2/bus so the recording run is itself cheap.
+     */
+    void attachMissRecorder(MissTrace *trace);
+
+    /** Flush trailing cycle deltas and capture the front-end summary
+     *  into the attached recorder. Must precede finish(). */
+    void finalizeMissRecorder();
+
     /** Handle an eviction: via the victim buffer when present. */
     void handleEviction(const CacheResult &result);
 
@@ -321,6 +334,8 @@ class MemorySystem
      *  deltas are derived by subtraction in recordMissEvent, so
      *  recording adds no work to the L1-hit fast path. */
     MissTrace *missRecorder_ = nullptr;
+    /** Live analytic-L2 tap (attachReuseProfiler). */
+    ReuseProfiler *reuseProfiler_ = nullptr;
     std::uint64_t recBaseL1HitCycles_ = 0;
     std::uint64_t recBaseVictimHitCycles_ = 0;
     std::uint64_t recBaseSwPrefetchCycles_ = 0;

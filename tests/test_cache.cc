@@ -183,6 +183,101 @@ TEST(Cache, ResetClearsContentsAndStats)
     EXPECT_FALSE(cache.probe(0x0));
 }
 
+TEST(Cache, AllOnesTagInASingleSetOfOneByteBlocks)
+{
+    // 1-byte blocks in one set: the tag is the whole address, so the
+    // block at ~0 has an all-ones tag, the word an invalid way holds.
+    CacheConfig c;
+    c.sizeBytes = 2;
+    c.assoc = 2;
+    c.blockSize = 1;
+    c.replacement = ReplacementKind::LRU;
+    ASSERT_EQ(c.numSets(), 1u);
+    Cache cache(c);
+    const Addr ones = ~Addr{0};
+
+    // Empty ways must not read as holding ~0.
+    EXPECT_FALSE(cache.probe(ones));
+    EXPECT_FALSE(cache.probe(0));
+    EXPECT_FALSE(cache.invalidate(ones));
+    EXPECT_EQ(cache.residentBlocks(), 0u);
+
+    CacheResult r = cache.access(makeStore(ones));
+    EXPECT_FALSE(r.hit);
+    EXPECT_TRUE(r.filled);
+    EXPECT_FALSE(r.victimEvicted);
+    EXPECT_EQ(cache.residentBlocks(), 1u);
+    EXPECT_TRUE(cache.access(makeLoad(ones)).hit);
+    EXPECT_FALSE(cache.probe(0));
+
+    // Block 0 takes the free way rather than evicting ~0.
+    r = cache.access(makeLoad(0));
+    EXPECT_FALSE(r.hit);
+    EXPECT_FALSE(r.victimEvicted);
+    EXPECT_EQ(cache.residentBlocks(), 2u);
+    EXPECT_TRUE(cache.probe(ones));
+    EXPECT_TRUE(cache.probe(0));
+
+    // ~0 is now LRU and dirty: the next miss evicts and writes it back
+    // at its exact address.
+    r = cache.access(makeLoad(5));
+    ASSERT_TRUE(r.victimEvicted);
+    EXPECT_EQ(r.victimAddr, ones);
+    ASSERT_TRUE(r.writeback);
+    EXPECT_EQ(r.writebackAddr, ones);
+    EXPECT_FALSE(cache.probe(ones));
+    EXPECT_EQ(cache.residentBlocks(), 2u);
+
+    // Block 0 is LRU: a clean fill of ~0 evicts it without write-back.
+    r = cache.fill(ones, /*dirty=*/false);
+    ASSERT_TRUE(r.victimEvicted);
+    EXPECT_EQ(r.victimAddr, 0u);
+    EXPECT_FALSE(r.writeback);
+    EXPECT_TRUE(cache.probe(ones));
+
+    // Invalidation frees the way for another block.
+    EXPECT_TRUE(cache.invalidate(ones));
+    EXPECT_FALSE(cache.invalidate(ones));
+    EXPECT_FALSE(cache.probe(ones));
+    EXPECT_EQ(cache.residentBlocks(), 1u);
+    r = cache.access(makeLoad(0));
+    EXPECT_FALSE(r.victimEvicted);
+    EXPECT_EQ(cache.residentBlocks(), 2u);
+
+    // Reset forgets ~0 too.
+    cache.access(makeLoad(5));
+    cache.access(makeStore(ones));
+    EXPECT_TRUE(cache.probe(ones));
+    cache.reset();
+    EXPECT_EQ(cache.residentBlocks(), 0u);
+    EXPECT_FALSE(cache.probe(ones));
+    EXPECT_FALSE(cache.probe(0));
+    r = cache.access(makeLoad(ones));
+    EXPECT_FALSE(r.hit);
+    EXPECT_FALSE(r.victimEvicted);
+    EXPECT_FALSE(r.writeback);
+}
+
+TEST(Cache, AllOnesTagDirectMapped)
+{
+    CacheConfig c;
+    c.sizeBytes = 1;
+    c.assoc = 1;
+    c.blockSize = 1;
+    Cache cache(c);
+    const Addr ones = ~Addr{0};
+    cache.access(makeStore(0));
+    CacheResult r = cache.access(makeStore(ones));
+    ASSERT_TRUE(r.writeback);
+    EXPECT_EQ(r.writebackAddr, 0u);
+    r = cache.access(makeLoad(0));
+    ASSERT_TRUE(r.writeback);
+    EXPECT_EQ(r.writebackAddr, ones);
+    EXPECT_EQ(cache.residentBlocks(), 1u);
+    EXPECT_TRUE(cache.invalidate(0));
+    EXPECT_EQ(cache.residentBlocks(), 0u);
+}
+
 TEST(Cache, StatsGroupUsesName)
 {
     Cache cache(smallConfig(), "l1.dcache");

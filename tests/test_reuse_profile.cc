@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "trace/footprint.hh"
 #include "trace/reuse_profile.hh"
+#include "util/bitutil.hh"
 #include "util/log_histogram.hh"
 #include "util/random.hh"
 
@@ -102,6 +105,48 @@ TEST(BlockFootprint, CountsDistinctBlocks)
     fp.clear();
     EXPECT_EQ(fp.uniqueBlocks(), 0u);
     EXPECT_TRUE(fp.touch(0));
+}
+
+TEST(BlockFootprint, MatchesAnOrderedSetAcrossGrowthAndClear)
+{
+    // Random and adversarial block numbers: both ends of the 64-bit
+    // range (with 1-byte blocks, block ~0 is the table's empty
+    // marker), power-of-two strides that share their low bits, dense
+    // runs, and repeats, fed past several doublings of the table.
+    for (unsigned block_size : {1u, 64u}) {
+        SCOPED_TRACE("block size " + std::to_string(block_size));
+        const unsigned shift = floorLog2(block_size);
+        BlockFootprint fp(block_size);
+        std::set<std::uint64_t> ref;
+        auto touch = [&](Addr a) {
+            const bool fresh = ref.insert(a >> shift).second;
+            ASSERT_EQ(fp.touch(a), fresh) << std::hex << a;
+            ASSERT_EQ(fp.uniqueBlocks(), ref.size());
+            ASSERT_EQ(fp.footprintBytes(), ref.size() * block_size);
+        };
+        Pcg32 rng(0xf007 + block_size);
+        for (int round = 0; round < 2; ++round) {
+            for (Addr a : {Addr{0}, ~Addr{0}, ~Addr{0} - 1,
+                           Addr{1} << 63, (Addr{1} << 63) - 1,
+                           ~Addr{0}, Addr{0}})
+                touch(a);
+            for (unsigned k = 4; k < 64; ++k)
+                for (std::uint64_t m = 1; m <= 64; ++m)
+                    touch((m << k) | 5);
+            for (Addr a = 0; a < 5000ull * block_size; a += block_size)
+                touch(a);
+            for (int i = 0; i < 30000; ++i) {
+                Addr a = rng.next64();
+                touch(rng.below(4) == 0 ? a & 0xffff : a);
+            }
+            // Many doublings past the table's initial 1024 slots.
+            ASSERT_GT(ref.size(), 20000u);
+            fp.clear();
+            ref.clear();
+            EXPECT_EQ(fp.uniqueBlocks(), 0u);
+            EXPECT_EQ(fp.footprintBytes(), 0u);
+        }
+    }
 }
 
 TEST(ReuseProfiler, SequentialStreamIsAllCold)

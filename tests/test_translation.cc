@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "mem/translation.hh"
 #include "sim/memory_system.hh"
@@ -83,6 +85,54 @@ TEST(PageMapper, SubPageStridesSurviveShuffling)
     Addr p_base = mapper.translate(base);
     for (unsigned off = 0; off < 0x1000; off += 32)
         EXPECT_EQ(mapper.translate(base + off), p_base + off);
+}
+
+TEST(PageMapper, MemoMatchesAColdMapperOnCollidingPages)
+{
+    // Cycle through more pages than the memo holds, all in one memo
+    // slot, plus pass-through pages (VPNs at and above 2^vpn_bits)
+    // and the highest address. Every answer must equal a fresh
+    // mapper's, whose empty memo forces the full walk.
+    const std::size_t slot = PageMapper::memoSlot(0);
+    for (unsigned page_bits : {6u, 12u, 31u}) {
+        for (unsigned vpn_bits : {8u, 20u}) {
+            SCOPED_TRACE("page bits " + std::to_string(page_bits) +
+                         ", vpn bits " + std::to_string(vpn_bits));
+            const std::uint64_t window = std::uint64_t{1} << vpn_bits;
+            // Colliding pages just below the window's end (permuted)
+            // and at or above it (passed through).
+            std::vector<std::uint64_t> vpns;
+            for (std::uint64_t vpn = window; vpn-- > 0 && vpns.size() < 40;) {
+                if (PageMapper::memoSlot(vpn) == slot)
+                    vpns.push_back(vpn);
+            }
+            ASSERT_FALSE(vpns.empty());
+            for (std::uint64_t vpn = window;
+                 vpns.size() < PageMapper::kMemoEntries + 16; ++vpn) {
+                if (PageMapper::memoSlot(vpn) == slot)
+                    vpns.push_back(vpn);
+            }
+            ASSERT_GE(vpns.back(), window);
+            vpns.push_back(window - 1);
+            vpns.push_back(window);
+            vpns.push_back(~std::uint64_t{0} >> page_bits);
+
+            PageMapper memo(TranslationMode::SHUFFLED, page_bits, vpn_bits,
+                            0x5eed);
+            const Addr last = mask(page_bits);
+            for (int round = 0; round < 3; ++round) {
+                for (std::uint64_t vpn : vpns) {
+                    for (Addr offset : {Addr{0}, last / 2, last}) {
+                        const Addr a = (vpn << page_bits) | offset;
+                        PageMapper cold(TranslationMode::SHUFFLED,
+                                        page_bits, vpn_bits, 0x5eed);
+                        ASSERT_EQ(memo.translate(a), cold.translate(a))
+                            << std::hex << a;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(PageMapperDeath, Validation)
