@@ -264,6 +264,28 @@ BM_SweepFamilyCached(benchmark::State &state)
 BENCHMARK(BM_SweepFamilyCached)->Unit(benchmark::kMillisecond);
 
 /**
+ * Replay alone, the step each point of a sweep family repeats: one
+ * recorded miss stream (mgrid, 1.5M references, paper front end)
+ * driven through the paper's 10-stream secondary level. The recording
+ * is made once, outside the timed loop. Items are miss records.
+ */
+void
+BM_ReplayMissTrace(benchmark::State &state)
+{
+    const MemorySystemConfig config = paperSystemConfig(10);
+    auto workload = findBenchmark("mgrid").makeWorkload();
+    TruncatingSource limited(*workload, 1500000);
+    const MissTrace trace = recordMissTrace(limited, config);
+    for (auto _ : state) {
+        RunOutput out = replayOnce(trace, config);
+        benchmark::DoNotOptimize(out);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * trace.size()));
+}
+BENCHMARK(BM_ReplayMissTrace)->Unit(benchmark::kMillisecond);
+
+/**
  * The --fidelity gate pair: the paper's Figure 3 stream-count sweep
  * (six points over one benchmark) exact versus sampled. Exact runs
  * every point through the full front end (cache off, single worker);

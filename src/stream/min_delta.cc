@@ -1,7 +1,5 @@
 #include "min_delta.hh"
 
-#include <cstdlib>
-
 #include "util/logging.hh"
 
 namespace sbsim {
@@ -18,17 +16,23 @@ MinDeltaDetector::onMiss(Addr a)
 {
     ++lookups_;
 
+    // Deltas are taken modulo 2^64 and compared by unsigned
+    // magnitude, so addresses 2^63 or more apart neither overflow the
+    // subtraction nor negate INT64_MIN.
     bool found = false;
-    std::int64_t best = 0;
+    std::uint64_t best = 0;
+    std::uint64_t best_mag = 0;
     for (const auto &s : slots_) {
         if (!s.valid)
             continue;
-        std::int64_t delta = static_cast<std::int64_t>(a) -
-                             static_cast<std::int64_t>(s.addr);
+        std::uint64_t delta = a - s.addr;
         if (delta == 0)
             continue;
-        if (!found || std::llabs(delta) < std::llabs(best)) {
+        std::uint64_t mag =
+            static_cast<std::int64_t>(delta) < 0 ? 0 - delta : delta;
+        if (!found || mag < best_mag) {
             best = delta;
+            best_mag = mag;
             found = true;
         }
     }
@@ -37,13 +41,11 @@ MinDeltaDetector::onMiss(Addr a)
     if (++nextVictim_ == slots_.size())
         nextVictim_ = 0;
 
-    if (!found ||
-        static_cast<std::uint64_t>(std::llabs(best)) > maxStride_) {
+    if (!found || best_mag > maxStride_)
         return std::nullopt;
-    }
 
     ++allocations_;
-    return StrideAllocation{a, best};
+    return StrideAllocation{a, static_cast<std::int64_t>(best)};
 }
 
 void

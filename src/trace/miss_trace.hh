@@ -11,7 +11,7 @@
  * from it with bit-identical results at a fraction of the cost.
  *
  * See docs/INTERNALS.md "Trace reuse & miss-stream replay" for the
- * invariance argument.
+ * invariance argument and the record layout.
  */
 
 #ifndef STREAMSIM_TRACE_MISS_TRACE_HH
@@ -26,7 +26,8 @@
 namespace sbsim {
 
 /** One event of the post-L1 stream, with the front-end cycles that
- *  elapsed since the previous event. */
+ *  elapsed since the previous event. MissTrace::forEach hands out
+ *  this decoded view; the trace itself stores packed records. */
 struct MissRecord
 {
     enum class Kind : std::uint8_t
@@ -43,7 +44,8 @@ struct MissRecord
     };
 
     /** The (already translated) reference presented to the secondary
-     *  level. */
+     *  level. Its pc is always 0: nothing below the L1 reads it, so
+     *  the trace does not keep it. */
     MemAccess access;
 
     /** Front-end cycles accumulated since the previous record, split
@@ -90,31 +92,36 @@ struct MissTraceSummary
 /**
  * The recorded post-L1 stream plus its front-end summary.
  *
- * Records live in fixed-size chunks rather than one flat vector:
- * recording a long run would otherwise spend more time in vector
- * doubling (copying every already-recorded event on each growth step,
- * then once more in shrink_to_fit) than in the simulation itself.
- * Chunks never move once allocated, append is copy-free, and the only
- * slack is the unfilled tail of the last chunk (trimmed by shrink()).
+ * Each event is one 16-byte packed record: the byte address, the
+ * L1-hit delta in 32 bits, the victim-hit delta in 16 bits, one byte
+ * holding the kind, the access type and an escape bit, and one byte
+ * of access size. A record whose deltas do not fit — a wider delta,
+ * or any software-prefetch cycles — sets the escape bit and keeps its
+ * three full deltas in a side table, in recording order; forEach
+ * walks that table with a cursor of its own, so any number of threads
+ * may replay one const trace at once.
+ *
+ * Records, and the side table's entries, live in fixed-size chunks
+ * rather than flat vectors: recording a long run would otherwise
+ * spend more time in vector doubling (copying every already-recorded
+ * event on each growth step, then once more in shrink_to_fit) than in
+ * the simulation itself. A recording with software prefetches escapes
+ * most of its records, so the side table can grow as long as the
+ * records. Chunks never move once allocated, append is copy-free, and
+ * the only slack is the unfilled tail of each table's last chunk
+ * (trimmed by shrink()).
  */
 class MissTrace
 {
   public:
-    /** Records per chunk: 64k records ~= 3 MB. */
+    /** Entries per chunk of either table: 64k records of 16 bytes =
+     *  1 MB, 64k escapes of 24 bytes = 1.5 MB. */
     static constexpr std::size_t kChunkRecords = std::size_t{1} << 16;
 
-    void
-    append(MissRecord::Kind kind, const MemAccess &access,
-           std::uint64_t d_l1_hit, std::uint64_t d_victim_hit,
-           std::uint64_t d_sw_prefetch)
-    {
-        if (chunks_.empty() || chunks_.back().size() == kChunkRecords) {
-            chunks_.emplace_back();
-            chunks_.back().reserve(kChunkRecords);
-        }
-        chunks_.back().push_back(
-            {access, d_l1_hit, d_victim_hit, d_sw_prefetch, kind});
-    }
+    /** Record one event; defined out of line (miss_trace.cc). */
+    void append(MissRecord::Kind kind, const MemAccess &access,
+                std::uint64_t d_l1_hit, std::uint64_t d_victim_hit,
+                std::uint64_t d_sw_prefetch);
 
     std::size_t
     size() const
@@ -127,40 +134,74 @@ class MissTrace
 
     bool empty() const { return chunks_.empty(); }
 
-    /** Visit every record in recording order. */
+    /** Visit every record in recording order, decoded. */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        for (const std::vector<MissRecord> &chunk : chunks_) {
-            for (const MissRecord &rec : chunk)
-                fn(rec);
+        std::size_t escaped = 0;
+        MissRecord rec;
+        const MissRecord &decoded = rec;
+        for (const std::vector<PackedRecord> &chunk : chunks_) {
+            for (const PackedRecord &p : chunk) {
+                rec.access.addr = p.addr;
+                rec.access.type =
+                    static_cast<AccessType>((p.bits >> kTypeShift) & 3);
+                rec.access.size = p.size;
+                rec.kind = static_cast<MissRecord::Kind>(p.bits & 3);
+                if (p.bits & kEscapeBit) {
+                    const EscapedDeltas &e =
+                        escapes_[escaped / kChunkRecords]
+                                [escaped % kChunkRecords];
+                    ++escaped;
+                    rec.dL1HitCycles = e.l1Hit;
+                    rec.dVictimHitCycles = e.victimHit;
+                    rec.dSwPrefetchCycles = e.swPrefetch;
+                } else {
+                    rec.dL1HitCycles = p.dL1Hit;
+                    rec.dVictimHitCycles = p.dVictimHit;
+                    rec.dSwPrefetchCycles = 0;
+                }
+                fn(decoded);
+            }
         }
     }
 
     MissTraceSummary &summary() { return summary_; }
     const MissTraceSummary &summary() const { return summary_; }
 
-    /** Approximate resident footprint, for the cache report. */
-    std::size_t
-    bytes() const
-    {
-        std::size_t records = 0;
-        for (const std::vector<MissRecord> &chunk : chunks_)
-            records += chunk.capacity();
-        return sizeof(*this) + records * sizeof(MissRecord);
-    }
+    /** Resident footprint for the cache report: the object, its
+     *  packed chunks and the escape table. */
+    std::size_t bytes() const;
 
-    /** Trim the unfilled tail of the last chunk. */
-    void
-    shrink()
-    {
-        if (!chunks_.empty())
-            chunks_.back().shrink_to_fit();
-    }
+    /** Trim the unfilled tail of each table's last chunk. */
+    void shrink();
 
   private:
-    std::vector<std::vector<MissRecord>> chunks_;
+    /** Bits of PackedRecord::bits: kind in 0-1, type in 2-3. */
+    static constexpr unsigned kTypeShift = 2;
+    static constexpr std::uint8_t kEscapeBit = 1u << 4;
+
+    struct PackedRecord
+    {
+        Addr addr;
+        std::uint32_t dL1Hit;
+        std::uint16_t dVictimHit;
+        std::uint8_t bits;
+        std::uint8_t size;
+    };
+    static_assert(sizeof(PackedRecord) == 16);
+
+    /** The full deltas of one escaped record. */
+    struct EscapedDeltas
+    {
+        std::uint64_t l1Hit;
+        std::uint64_t victimHit;
+        std::uint64_t swPrefetch;
+    };
+
+    std::vector<std::vector<PackedRecord>> chunks_;
+    std::vector<std::vector<EscapedDeltas>> escapes_;
     MissTraceSummary summary_;
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "stream/min_delta.hh"
 
 using namespace sbsim;
@@ -57,6 +59,41 @@ TEST(MinDelta, HistoryIsFifoBounded)
     auto alloc = det.onMiss(0x2000);
     ASSERT_TRUE(alloc.has_value());
     EXPECT_EQ(alloc->stride, 0x2000 - 0x50000);
+}
+
+TEST(MinDelta, AddressesFarApartTakeTheDeltaModulo2To64)
+{
+    // Exactly 2^63 apart: the delta's magnitude is 2^63 either way.
+    // Beyond the default cutoff it allocates nothing; with no cutoff
+    // it allocates the one stride of that magnitude, INT64_MIN.
+    const Addr low = 0x10;
+    const Addr high = 0x8000000000000010ull;
+    MinDeltaDetector det(8);
+    det.onMiss(low);
+    EXPECT_FALSE(det.onMiss(high).has_value());
+    EXPECT_FALSE(det.onMiss(low).has_value());
+    MinDeltaDetector unbounded(8, ~std::uint64_t{0});
+    unbounded.onMiss(low);
+    auto half = unbounded.onMiss(high);
+    ASSERT_TRUE(half.has_value());
+    EXPECT_EQ(half->stride, INT64_MIN);
+
+    // Either side of 2^63: as signed integers these two are 2^64 - 32
+    // apart, but modulo 2^64 they are 32 bytes apart.
+    const Addr below = 0x7ffffffffffffff0ull;
+    const Addr above = 0x8000000000000010ull;
+    MinDeltaDetector up(8);
+    up.onMiss(below);
+    auto rising = up.onMiss(above);
+    ASSERT_TRUE(rising.has_value());
+    EXPECT_EQ(rising->startAddr, above);
+    EXPECT_EQ(rising->stride, 0x20);
+    MinDeltaDetector down(8);
+    down.onMiss(above);
+    auto falling = down.onMiss(below);
+    ASSERT_TRUE(falling.has_value());
+    EXPECT_EQ(falling->startAddr, below);
+    EXPECT_EQ(falling->stride, -0x20);
 }
 
 TEST(MinDelta, StatsCount)

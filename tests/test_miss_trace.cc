@@ -7,10 +7,18 @@
  * SystemResults, the engine stats, the length distribution and the
  * cycle breakdown. This is the invariance argument of
  * docs/INTERNALS.md made executable.
+ *
+ * The packed-format tests below pin the 16-byte record layout: every
+ * field round-trips through append -> forEach, deltas on both sides
+ * of each escape boundary come back whole, across chunk boundaries
+ * too, and bytes() counts 16 bytes per record plus the escape table.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -261,4 +269,184 @@ TEST(MissTrace, DemandStreamDrivesL2StudyIdentically)
             << i;
         EXPECT_EQ(got[i].sampledAccesses, want[i].sampledAccesses) << i;
     }
+}
+
+namespace {
+
+/** One event as the caller appended it. */
+struct Event
+{
+    MissRecord::Kind kind = MissRecord::Kind::DEMAND;
+    MemAccess access;
+    std::uint64_t dL1Hit = 0;
+    std::uint64_t dVictimHit = 0;
+    std::uint64_t dSwPrefetch = 0;
+
+    bool operator==(const Event &) const = default;
+};
+
+std::string
+describe(const Event &e)
+{
+    std::ostringstream os;
+    os << "kind " << static_cast<int>(e.kind) << " addr 0x" << std::hex
+       << e.access.addr << " pc 0x" << e.access.pc << std::dec
+       << " type " << toString(e.access.type) << " size "
+       << static_cast<int>(e.access.size) << " deltas " << e.dL1Hit
+       << "/" << e.dVictimHit << "/" << e.dSwPrefetch;
+    return os.str();
+}
+
+MissTrace
+traceOf(const std::vector<Event> &events)
+{
+    MissTrace trace;
+    for (const Event &e : events) {
+        trace.append(e.kind, e.access, e.dL1Hit, e.dVictimHit,
+                     e.dSwPrefetch);
+    }
+    trace.shrink();
+    return trace;
+}
+
+/** forEach must hand back exactly what was appended, with pc 0. */
+void
+expectRoundTrip(const MissTrace &trace, std::vector<Event> want)
+{
+    for (Event &e : want)
+        e.access.pc = 0;
+    std::vector<Event> got;
+    trace.forEach([&](const MissRecord &rec) {
+        got.push_back({rec.kind, rec.access, rec.dL1HitCycles,
+                       rec.dVictimHitCycles, rec.dSwPrefetchCycles});
+    });
+    EXPECT_EQ(trace.size(), want.size());
+    ASSERT_EQ(got.size(), want.size());
+    auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+    if (diff.first != got.end()) {
+        ADD_FAILURE() << "record " << (diff.first - got.begin())
+                      << ": got " << describe(*diff.first)
+                      << ", appended " << describe(*diff.second);
+    }
+}
+
+constexpr MissRecord::Kind kKinds[] = {MissRecord::Kind::WRITEBACK,
+                                       MissRecord::Kind::SW_PREFETCH,
+                                       MissRecord::Kind::DEMAND};
+constexpr AccessType kTypes[] = {AccessType::IFETCH, AccessType::LOAD,
+                                 AccessType::STORE, AccessType::PREFETCH};
+
+/** Bytes a record costs in the chunks, and an escaped record's
+ *  three full deltas in the side table. */
+constexpr std::size_t kRecordBytes = 16;
+constexpr std::size_t kEscapeBytes = 3 * sizeof(std::uint64_t);
+
+/** Deltas on both sides of each escape boundary. */
+struct BoundaryDeltas
+{
+    std::uint64_t l1Hit, victimHit, swPrefetch;
+    bool escapes;
+};
+constexpr BoundaryDeltas kBoundaries[] = {
+    {0xffffffffull, 0, 0, false},
+    {0x100000000ull, 0, 0, true},
+    {0, 0xffff, 0, false},
+    {0, 0x10000, 0, true},
+    {0, 0, 0, false},
+    {0, 0, 1, true},
+    {0xffffffffull, 0xffff, 0, false},
+    {~0ull, ~0ull, ~0ull, true},
+};
+constexpr std::size_t kNumBoundaries = std::size(kBoundaries);
+
+} // namespace
+
+TEST(MissTracePacking, EveryKindTypeAddressAndSizeRoundTrips)
+{
+    const Addr addrs[] = {0, Addr{1} << 63, ~Addr{0}};
+    std::vector<Event> events;
+    for (MissRecord::Kind kind : kKinds) {
+        for (AccessType type : kTypes) {
+            for (Addr addr : addrs) {
+                for (unsigned size = 1; size <= 128; ++size) {
+                    Event e;
+                    e.kind = kind;
+                    // A nonzero pc: the trace must drop it.
+                    e.access = {addr, 0x400123, type,
+                                static_cast<std::uint8_t>(size)};
+                    e.dL1Hit = events.size() % 5;
+                    e.dVictimHit = events.size() % 3;
+                    events.push_back(e);
+                }
+            }
+        }
+    }
+    MissTrace trace = traceOf(events);
+    expectRoundTrip(trace, events);
+    EXPECT_EQ(trace.bytes(),
+              sizeof(MissTrace) + kRecordBytes * events.size());
+}
+
+TEST(MissTracePacking, EscapedDeltasRoundTripAcrossChunkBoundaries)
+{
+    const std::size_t sizes[] = {0, 1, MissTrace::kChunkRecords - 1,
+                                 MissTrace::kChunkRecords,
+                                 MissTrace::kChunkRecords + 1};
+    for (std::size_t n : sizes) {
+        // Every rotation of the boundary table, so each kind of
+        // escaped and plain record lands on the chunk's last and first
+        // slots, and alone in the one-record trace.
+        for (std::size_t shift = 0; shift < kNumBoundaries; ++shift) {
+            SCOPED_TRACE("records " + std::to_string(n) + " shift " +
+                         std::to_string(shift));
+            std::vector<Event> events(n);
+            std::size_t escaped = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                const BoundaryDeltas &d =
+                    kBoundaries[(i + shift) % kNumBoundaries];
+                events[i].kind = kKinds[i % std::size(kKinds)];
+                events[i].access = makeLoad(0x1000 + 64 * i, 8);
+                events[i].dL1Hit = d.l1Hit;
+                events[i].dVictimHit = d.victimHit;
+                events[i].dSwPrefetch = d.swPrefetch;
+                escaped += d.escapes;
+            }
+            MissTrace trace = traceOf(events);
+            expectRoundTrip(trace, events);
+            // Exactly the records past a boundary take a side-table
+            // entry: one that fits its fields costs 16 bytes, no more.
+            EXPECT_EQ(trace.bytes(), sizeof(MissTrace) +
+                                         kRecordBytes * n +
+                                         kEscapeBytes * escaped);
+        }
+    }
+}
+
+TEST(MissTracePacking, EscapesSpanSeveralChunksOfTheSideTable)
+{
+    // A software-prefetch-heavy recording escapes most of its records;
+    // here every one does, so the side table fills two chunks and
+    // starts a third, each entry with its own deltas.
+    const std::size_t n = 2 * MissTrace::kChunkRecords + 1;
+    std::vector<Event> events(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        events[i].kind = MissRecord::Kind::SW_PREFETCH;
+        events[i].access = makePrefetch(0x2000 + 64 * i);
+        events[i].dL1Hit = i;
+        events[i].dVictimHit = i % 7;
+        events[i].dSwPrefetch = i + 1;
+    }
+    MissTrace trace = traceOf(events);
+    expectRoundTrip(trace, events);
+    EXPECT_EQ(trace.bytes(),
+              sizeof(MissTrace) + (kRecordBytes + kEscapeBytes) * n);
+}
+
+TEST(MissTracePacking, BytesCountSixteenPerRecordOnARecordedProgram)
+{
+    auto workload = findBenchmark("appsp").makeWorkload();
+    TruncatingSource limited(*workload, 1500000);
+    MissTrace trace = recordMissTrace(limited, paperSystemConfig(10));
+    ASSERT_GT(trace.size(), MissTrace::kChunkRecords);
+    EXPECT_LE(trace.bytes(), kRecordBytes * trace.size() + 4096);
 }

@@ -282,7 +282,7 @@ TEST(TraceCache, RecordsMissTracesOnceAndCountsReplays)
     EXPECT_EQ(stats.missTracesRecorded, 1u);
     EXPECT_EQ(stats.missTraceHits, 1u);
     EXPECT_EQ(stats.replays, 2u);
-    EXPECT_GE(stats.residentBytes, sizeof(MissRecord));
+    EXPECT_EQ(stats.residentBytes, first->bytes());
 
     // clear() empties both maps and zeroes the counters.
     cache.clear();

@@ -12,18 +12,21 @@
  * The load-bearing assertions: every thread adopts the same copy per
  * key (first-writer-wins), and refTracesMaterialized counts exactly
  * one materialization per distinct key no matter how many producers
- * raced on it.
+ * raced on it. The last test replays one shared MissTrace from two
+ * threads, as concurrent replay jobs do.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "trace/materialized_trace.hh"
+#include "trace/miss_trace.hh"
 #include "trace/trace_cache.hh"
 
 using namespace sbsim;
@@ -300,4 +303,57 @@ TEST(TraceCacheStress, ParallelMissTraceRecordingIsSingleWriter)
               static_cast<std::uint64_t>(kThreads) * kKeys);
 
     cache.clear();
+}
+
+TEST(TraceCacheStress, ConcurrentReplaysOfOneTraceSeeEveryEscapedRecord)
+{
+    // Replay jobs share one const MissTrace. Escaped records keep their
+    // deltas in a side table that forEach reads with a cursor of its
+    // own, so concurrent readers must each see the full sequence.
+    constexpr std::size_t kRecords = MissTrace::kChunkRecords + 100;
+    auto l1Delta = [](std::size_t i) -> std::uint64_t {
+        return i % 3 == 0 ? (std::uint64_t{1} << 40) + i : i;
+    };
+    auto swDelta = [](std::size_t i) -> std::uint64_t {
+        return i % 5 == 0 ? i : 0;
+    };
+    MissTrace built;
+    for (std::size_t i = 0; i < kRecords; ++i) {
+        built.append(MissRecord::Kind::DEMAND, makeLoad(64 * i),
+                     l1Delta(i), i % 7, swDelta(i));
+    }
+    built.shrink();
+    auto trace = std::make_shared<const MissTrace>(std::move(built));
+
+    constexpr int kReaders = 2;
+    constexpr int kPasses = 4;
+    std::atomic<int> ready{0};
+    std::vector<std::size_t> seen(kReaders, 0);
+    std::vector<std::size_t> wrong(kReaders, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kReaders; ++t) {
+        threads.emplace_back([&, t] {
+            ++ready;
+            while (ready.load() < kReaders) {
+            }
+            for (int pass = 0; pass < kPasses; ++pass) {
+                std::size_t i = 0;
+                trace->forEach([&](const MissRecord &rec) {
+                    wrong[t] += rec.access.addr != 64 * i ||
+                                rec.dL1HitCycles != l1Delta(i) ||
+                                rec.dVictimHitCycles != i % 7 ||
+                                rec.dSwPrefetchCycles != swDelta(i);
+                    ++i;
+                });
+                seen[t] += i;
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    for (int t = 0; t < kReaders; ++t) {
+        EXPECT_EQ(seen[t], kPasses * kRecords) << "reader " << t;
+        EXPECT_EQ(wrong[t], 0u) << "reader " << t;
+    }
 }

@@ -50,7 +50,7 @@ trap 'rm -f "$raw_json"' EXIT
 # the fidelity gate would compare cold sampled runs against warm
 # exact ones.
 "$bench_bin" \
-    --benchmark_filter='BM_MemorySystem|BM_RunBenchmark|BM_FullSystemRun|BM_SweepFamily|BM_SweepFidelity|BM_MaterializeTrace|BM_BuildSamplingPlan' \
+    --benchmark_filter='BM_MemorySystem|BM_RunBenchmark|BM_FullSystemRun|BM_SweepFamily|BM_SweepFidelity|BM_MaterializeTrace|BM_BuildSamplingPlan|BM_ReplayMissTrace' \
     --benchmark_min_time="$min_time" \
     --benchmark_min_warmup_time=0.5 \
     --benchmark_repetitions="$repetitions" \
