@@ -44,22 +44,59 @@ BM_CacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccess)->Arg(1)->Arg(4)->Arg(8);
 
+/**
+ * The stream engine alone, driven by a recorded program's miss
+ * stream: mgrid's post-L1 events (1.5M references, the paper's front
+ * end) with every demand miss presented to
+ * PrefetchEngine::onPrimaryMiss and every write-back to onWriteback,
+ * as a replay presents them, without the timing or memory side. The
+ * recording is made once, outside the timed loop; each iteration
+ * builds a fresh engine. Args: stream count, then 0 for allocation on
+ * every miss (Fig. 3) or 1 for the unit filter backed by 18-bit czone
+ * detection (Fig. 9). Items are demand misses.
+ */
 void
-BM_StreamEngineMiss(benchmark::State &state)
+BM_StreamEngineReplay(benchmark::State &state)
 {
-    StreamEngineConfig config;
-    config.numStreams = static_cast<std::uint32_t>(state.range(0));
-    PrefetchEngine engine(config);
-    Addr a = 0;
-    std::uint64_t now = 0;
+    static const MissTrace trace = [] {
+        auto workload = findBenchmark("mgrid").makeWorkload();
+        TruncatingSource limited(*workload, 1500000);
+        return recordMissTrace(limited, paperSystemConfig(10));
+    }();
+    const bool filtered = state.range(1) != 0;
+    const StreamEngineConfig config =
+        paperSystemConfig(
+            static_cast<std::uint32_t>(state.range(0)),
+            filtered ? AllocationPolicy::UNIT_FILTER
+                     : AllocationPolicy::ALWAYS,
+            filtered ? StrideDetection::CZONE : StrideDetection::NONE, 18)
+            .streams;
+    std::uint64_t demands = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.onPrimaryMiss(makeLoad(a), ++now));
-        a += 32;
+        PrefetchEngine engine(config);
+        std::uint64_t tick = 0;
+        trace.forEach([&](const MissRecord &rec) {
+            // Any strictly increasing clock orders stream recency the
+            // way the memory system's cycle counter does.
+            tick += 1 + rec.dL1HitCycles + rec.dVictimHitCycles +
+                    rec.dSwPrefetchCycles;
+            if (rec.kind == MissRecord::Kind::DEMAND) {
+                engine.onPrimaryMiss(rec.access, tick);
+                ++demands;
+            } else if (rec.kind == MissRecord::Kind::WRITEBACK) {
+                engine.onWriteback(rec.access.addr);
+            }
+        });
+        engine.finalize();
+        benchmark::DoNotOptimize(engine.engineStats());
     }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()));
+    state.SetItemsProcessed(static_cast<std::int64_t>(demands));
 }
-BENCHMARK(BM_StreamEngineMiss)->Arg(4)->Arg(10);
+BENCHMARK(BM_StreamEngineReplay)
+    ->Args({1, 0})
+    ->Args({10, 0})
+    ->Args({10, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_MemorySystem(benchmark::State &state)

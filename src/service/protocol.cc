@@ -181,9 +181,7 @@ parseValues(const JsonValue &v, std::vector<std::uint32_t> &out)
             return "values: entries must be positive 32-bit integers";
         out.push_back(n);
     }
-    if (out.empty())
-        return "values: must not be empty";
-    return "";
+    return validateSweepValues(out);
 }
 
 } // namespace

@@ -26,10 +26,16 @@ validateSpec(const RunSpec &spec)
         return "unknown benchmark: " + spec.benchmark;
     if (spec.refs == 0)
         return "refs must be positive";
-    if (spec.streams == 0)
-        return "streams must be positive";
+    if (std::string err = validateStreamCount(spec.streams); !err.empty())
+        return err;
     if (spec.depth == 0)
         return "depth must be positive";
+    if (spec.depth > StreamSet::kMaxDepth)
+        return "depth must be at most " +
+               std::to_string(StreamSet::kMaxDepth);
+    if (spec.victimEntries > kMaxVictimEntries)
+        return "victim entries must be at most " +
+               std::to_string(kMaxVictimEntries);
     if (spec.czoneBits && (*spec.czoneBits == 0 || *spec.czoneBits >= 64))
         return "czone bits must be in [1, 63]";
     if (spec.pageBits < 6 || spec.pageBits >= 32)
@@ -49,6 +55,29 @@ validateSpec(const RunSpec &spec)
         *spec.l2Model != L2ModelKind::SIMULATED)
         return "fidelity sampled supports only the simulated l2 model "
                "(the analytic profile needs the full miss stream)";
+    return "";
+}
+
+std::string
+validateStreamCount(std::uint32_t streams)
+{
+    if (streams == 0)
+        return "streams must be positive";
+    if (streams > StreamSet::kMaxStreams)
+        return "streams must be at most " +
+               std::to_string(StreamSet::kMaxStreams);
+    return "";
+}
+
+std::string
+validateSweepValues(const std::vector<std::uint32_t> &values)
+{
+    if (values.empty())
+        return "values: must not be empty";
+    for (std::uint32_t v : values) {
+        if (std::string err = validateStreamCount(v); !err.empty())
+            return "values: " + err;
+    }
     return "";
 }
 

@@ -67,13 +67,31 @@ struct RunSpec
 };
 
 /**
+ * Largest victim buffer a spec may configure. The buffer is searched
+ * on every L1 miss, so its size bounds the per-miss work; Jouppi's
+ * victim caches hold 1-15 entries.
+ */
+inline constexpr std::uint32_t kMaxVictimEntries = 256;
+
+/**
  * Validate the cross-field rules a well-formed spec must satisfy
  * (benchmark xor trace, known benchmark, stride detection behind the
- * unit filter, power-of-two L2, field ranges). @return empty string
- * when valid, else a one-line human-readable reason. The CLI parser
- * and the service protocol both enforce exactly this set.
+ * unit filter, power-of-two L2, field ranges). The sizes the per-miss
+ * structures scan are bounded: streams and depth by the stream set's
+ * capacity (StreamSet::kMaxStreams, StreamSet::kMaxDepth), victim
+ * entries by kMaxVictimEntries. @return empty string when valid, else
+ * a one-line human-readable reason. The CLI parser and the service
+ * protocol both enforce exactly this set.
  */
 std::string validateSpec(const RunSpec &spec);
+
+/** Validate one stream count: a spec's streams or one sweep value.
+ *  @return empty when valid, else the reason. */
+std::string validateStreamCount(std::uint32_t streams);
+
+/** Validate a sweep grid: nonempty, every value a valid stream count.
+ *  @return empty when valid, else the reason. */
+std::string validateSweepValues(const std::vector<std::uint32_t> &values);
 
 /** Build the MemorySystemConfig the spec describes. */
 MemorySystemConfig specSystemConfig(const RunSpec &spec);

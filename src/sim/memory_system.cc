@@ -96,10 +96,10 @@ MemorySystem::handleEviction(const CacheResult &result)
 }
 
 std::uint64_t
-MemorySystem::fetchBlock(const MemAccess &access, TrafficKind kind)
+MemorySystem::fetchBlock(Addr addr, TrafficKind kind)
 {
     if (l2_) {
-        CacheResult r = l2_->access(makeLoad(access.addr));
+        CacheResult r = l2_->access(makeLoad(addr));
         if (r.writeback) {
             SBSIM_EVENT(events_, cycles_, TraceEvent::L2_WRITEBACK,
                         r.writebackAddr, 0);
@@ -178,9 +178,10 @@ MemorySystem::secondarySwPrefetchFetch(const MemAccess &access)
 {
     if (missRecorder_)
         recordMissEvent(MissRecord::Kind::SW_PREFETCH, access);
-    fetchBlock(access, TrafficKind::PREFETCH);
+    fetchBlock(access.addr, TrafficKind::PREFETCH);
 }
 
+// analyze:hot-path
 void
 MemorySystem::secondaryDemand(const MemAccess &access)
 {
@@ -197,8 +198,7 @@ MemorySystem::secondaryDemand(const MemAccess &access)
             // the block (Jouppi's arrangement), otherwise from memory.
             SBSIM_EVENT(events_, cycles_, TraceEvent::PREFETCH_ISSUE,
                         block, 0);
-            MemAccess fetch = makeLoad(block);
-            fetchBlock(fetch, TrafficKind::PREFETCH);
+            fetchBlock(block, TrafficKind::PREFETCH);
         }
 
         if (outcome.streamHit) {
@@ -230,7 +230,7 @@ MemorySystem::secondaryDemand(const MemAccess &access)
     // into busQueueCycles_ for demand traffic) and the fetch proper,
     // so the breakdown components stay disjoint.
     std::uint64_t queued_before = busQueueCycles_.value();
-    std::uint64_t service = fetchBlock(access, TrafficKind::DEMAND);
+    std::uint64_t service = fetchBlock(access.addr, TrafficKind::DEMAND);
     std::uint64_t queued = busQueueCycles_.value() - queued_before;
     cycles_ += service;
     cyclesBusQueue_ += queued;

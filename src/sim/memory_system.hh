@@ -296,7 +296,7 @@ class MemorySystem
      * and hit, otherwise from main memory.
      * @return the latency the requester sees.
      */
-    std::uint64_t fetchBlock(const MemAccess &access, TrafficKind kind);
+    std::uint64_t fetchBlock(Addr addr, TrafficKind kind);
 
     MemorySystemConfig config_;
     PageMapper pageMapper_;

@@ -1,5 +1,7 @@
 #include "prefetch_engine.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace sbsim {
@@ -7,25 +9,20 @@ namespace sbsim {
 PrefetchEngine::PrefetchEngine(const StreamEngineConfig &config)
     : config_(config),
       mapper_(config.blockSize),
-      lengthDist_({5, 10, 15, 20})
+      lengthDist_({5, 10, 15, 20}),
+      // Partitioned: the data bank gets the odd stream, the
+      // instruction bank at least one.
+      dataStreams_(config.partitioned ? (config.numStreams + 1) / 2
+                                      : config.numStreams,
+                   config.depth, config.blockSize, config.replacement)
 {
     SBSIM_ASSERT(config.numStreams > 0, "need at least one stream");
 
     if (config.partitioned) {
-        std::uint32_t d_streams = (config.numStreams + 1) / 2;
-        std::uint32_t i_streams = config.numStreams - d_streams;
-        if (i_streams == 0)
-            i_streams = 1;
-        dataStreams_ = std::make_unique<StreamSet>(
-            d_streams, config.depth, config.blockSize,
-            config.replacement);
+        std::uint32_t i_streams =
+            std::max(config.numStreams - dataStreams_.numStreams(), 1u);
         instStreams_ = std::make_unique<StreamSet>(
-            i_streams, config.depth, config.blockSize,
-            config.replacement);
-    } else {
-        dataStreams_ = std::make_unique<StreamSet>(
-            config.numStreams, config.depth, config.blockSize,
-            config.replacement);
+            i_streams, config.depth, config.blockSize, config.replacement);
     }
 
     if (config.allocation == AllocationPolicy::UNIT_FILTER) {
@@ -49,14 +46,6 @@ PrefetchEngine::PrefetchEngine(const StreamEngineConfig &config)
     }
 }
 
-StreamSet &
-PrefetchEngine::setFor(const MemAccess &access)
-{
-    if (config_.partitioned && access.isInstruction())
-        return *instStreams_;
-    return *dataStreams_;
-}
-
 void
 PrefetchEngine::recordRun(const StreamFlush &flushed, std::uint64_t now)
 {
@@ -69,99 +58,62 @@ PrefetchEngine::recordRun(const StreamFlush &flushed, std::uint64_t now)
 }
 
 // analyze:hot-path
-void
-PrefetchEngine::allocateStream(StreamSet &set, Addr start,
-                               std::int64_t stride, std::uint64_t now,
-                               EngineOutcome &outcome)
-{
-    // Issue straight into the member buffer (cleared by the caller):
-    // the per-miss hot path must not allocate.
-    StreamFlush flushed;
-    set.allocate(start, stride, now, lastIssued_, flushed);
-    SBSIM_EVENT(events_, now, TraceEvent::STREAM_ALLOC, start,
-                static_cast<std::uint64_t>(stride));
-    ++stats_.allocations;
-    stats_.prefetchesIssued += lastIssued_.size();
-    stats_.uselessFlushed += flushed.uselessPrefetches;
-    recordRun(flushed, now);
-    outcome.allocated = true;
-    outcome.prefetchesIssued =
-        static_cast<std::uint32_t>(lastIssued_.size());
-}
-
-// analyze:hot-path
 EngineOutcome
-PrefetchEngine::onPrimaryMiss(const MemAccess &access, std::uint64_t now)
+PrefetchEngine::onStreamMiss(StreamSet &set, const MemAccess &access,
+                             std::uint64_t now)
 {
-    SBSIM_ASSERT(!finalized_, "onPrimaryMiss after finalize");
-    ++stats_.lookups;
-    lastTick_ = now;
     EngineOutcome outcome;
-    lastIssued_.clear();
-
-    StreamSet &set = setFor(access);
-    StreamLookup lookup =
-        set.lookup(access.addr, now, config_.associativeLookup);
-    if (lookup.hit) {
-        ++stats_.hits;
-        stats_.uselessFlushed += lookup.skipped;
-        outcome.streamHit = true;
-        outcome.issueTick = lookup.consume.issueTick;
-        if (lookup.consume.refillIssued) {
-            lastIssued_.push_back(lookup.consume.refillBlock);
-            for (BlockAddr extra : lookup.consume.extraRefills)
-                lastIssued_.push_back(extra);
-            outcome.prefetchesIssued =
-                static_cast<std::uint32_t>(lastIssued_.size());
-            stats_.prefetchesIssued += lastIssued_.size();
-        }
-        return outcome;
-    }
-
     ++stats_.streamMisses;
 
-    // Allocation decision.
-    std::optional<StrideAllocation> stride_alloc;
-    bool allocate_unit = false;
-
-    if (config_.allocation == AllocationPolicy::ALWAYS) {
-        allocate_unit = true;
-    } else {
+    // Allocation decision: a unit-stride stream at the miss (always,
+    // or once the unit filter verified it), a stream at a stride the
+    // non-unit detector verified, or none.
+    Addr start = access.addr;
+    auto stride = static_cast<std::int64_t>(config_.blockSize);
+    if (config_.allocation == AllocationPolicy::UNIT_FILTER) {
         std::uint64_t block = mapper_.blockNumber(access.addr);
         if (unitFilter_->onStreamMiss(block)) {
             SBSIM_EVENT(events_, now, TraceEvent::FILTER_ACCEPT,
                         access.addr, block);
-            allocate_unit = true;
         } else {
             SBSIM_EVENT(events_, now, TraceEvent::FILTER_REJECT,
                         access.addr, block);
+            std::optional<StrideAllocation> detected;
             if (czoneFilter_) {
                 SBSIM_EVENT(events_, now, TraceEvent::CZONE_ASSIGN,
                             access.addr,
                             access.addr >> czoneFilter_->czoneBits());
-                stride_alloc = czoneFilter_->onMiss(access.addr);
+                detected = czoneFilter_->onMiss(access.addr);
             } else if (minDelta_) {
-                stride_alloc = minDelta_->onMiss(access.addr);
+                detected = minDelta_->onMiss(access.addr);
             }
+            if (!detected)
+                return outcome;
+            start = detected->startAddr;
+            stride = detected->stride;
         }
     }
 
-    if (allocate_unit) {
-        allocateStream(set, access.addr,
-                       static_cast<std::int64_t>(config_.blockSize), now,
-                       outcome);
-    } else if (stride_alloc) {
-        allocateStream(set, stride_alloc->startAddr, stride_alloc->stride,
-                       now, outcome);
-    }
-
+    StreamFlush flushed;
+    set.allocate(start, stride, now, flushed);
+    SBSIM_EVENT(events_, now, TraceEvent::STREAM_ALLOC, start,
+                static_cast<std::uint64_t>(stride));
+    lastIssued_ = set.issued();
+    const auto issued = static_cast<std::uint32_t>(lastIssued_.size());
+    ++stats_.allocations;
+    stats_.prefetchesIssued += issued;
+    stats_.uselessFlushed += flushed.uselessPrefetches;
+    recordRun(flushed, now);
+    outcome.allocated = true;
+    outcome.prefetchesIssued = issued;
     return outcome;
 }
 
+// analyze:hot-path
 void
 PrefetchEngine::onWriteback(BlockAddr block)
 {
-    stats_.uselessInvalidated += dataStreams_->invalidate(block);
+    stats_.uselessInvalidated += dataStreams_.invalidate(block);
     if (instStreams_)
         stats_.uselessInvalidated += instStreams_->invalidate(block);
 }
@@ -172,10 +124,11 @@ PrefetchEngine::finalize()
     if (finalized_)
         return;
     finalized_ = true;
-    for (StreamSet *set : {dataStreams_.get(), instStreams_.get()}) {
+    for (StreamSet *set : {&dataStreams_, instStreams_.get()}) {
         if (!set)
             continue;
-        for (const StreamFlush &f : set->drainAll()) {
+        for (std::uint32_t i = 0; i < set->numStreams(); ++i) {
+            StreamFlush f = set->drain(i);
             stats_.uselessFlushed += f.uselessPrefetches;
             recordRun(f, lastTick_);
         }
@@ -210,10 +163,9 @@ PrefetchEngine::stats() const
 void
 PrefetchEngine::reset()
 {
-    for (StreamSet *set : {dataStreams_.get(), instStreams_.get()}) {
-        if (set)
-            set->drainAll();
-    }
+    dataStreams_.reset();
+    if (instStreams_)
+        instStreams_->reset();
     if (unitFilter_)
         unitFilter_->reset();
     if (czoneFilter_)
@@ -222,6 +174,7 @@ PrefetchEngine::reset()
         minDelta_->reset();
     stats_ = StreamEngineStats{};
     lengthDist_.reset();
+    lastIssued_ = {};
     lastTick_ = 0;
     finalized_ = false;
 }

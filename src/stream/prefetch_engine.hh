@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "mem/block.hh"
 #include "mem/types.hh"
@@ -55,8 +56,11 @@ enum class StrideDetection : std::uint8_t
 /** Static configuration of the prefetch engine. */
 struct StreamEngineConfig
 {
+    /** At most StreamSet::kMaxStreams; service::validateSpec rejects
+     *  larger requests before an engine is built. */
     std::uint32_t numStreams = 10;
-    std::uint32_t depth = 2;       ///< Paper default (Section 3).
+    /** Paper default (Section 3); at most StreamSet::kMaxDepth. */
+    std::uint32_t depth = 2;
     std::uint32_t blockSize = 32;
     /** Victim choice on reallocation (paper: LRU; Section 3). */
     StreamReplacement replacement = StreamReplacement::LRU;
@@ -115,6 +119,11 @@ class PrefetchEngine
   public:
     explicit PrefetchEngine(const StreamEngineConfig &config);
 
+    // lastIssuedBlocks() views a member set's buffer, so an engine
+    // never moves.
+    PrefetchEngine(const PrefetchEngine &) = delete;
+    PrefetchEngine &operator=(const PrefetchEngine &) = delete;
+
     const StreamEngineConfig &config() const { return config_; }
 
     /**
@@ -128,9 +137,10 @@ class PrefetchEngine
      * Block addresses of the prefetches issued by the most recent
      * onPrimaryMiss call (matches EngineOutcome::prefetchesIssued).
      * The memory side uses these to route prefetches through a
-     * secondary cache and onto the bus.
+     * secondary cache and onto the bus. The span views a stream set's
+     * issue buffer: it is valid until the next onPrimaryMiss.
      */
-    const std::vector<BlockAddr> &lastIssuedBlocks() const
+    std::span<const BlockAddr> lastIssuedBlocks() const
     {
         return lastIssued_;
     }
@@ -170,38 +180,78 @@ class PrefetchEngine
     /** Export counters for reporting. */
     StatGroup stats() const;
 
+    /** Restore the constructed state: streams, filters, statistics
+     *  and every replacement policy's clock, pointer and generator. */
     void reset();
 
   private:
-    StreamSet &setFor(const MemAccess &access);
+    /** The stream-miss half of onPrimaryMiss: the allocation decision
+     *  and the reallocation it leads to, with its accounting. */
+    EngineOutcome onStreamMiss(StreamSet &set, const MemAccess &access,
+                               std::uint64_t now);
 
-    /**
-     * Reallocate a stream of @p set at @p start with @p stride,
-     * issuing prefetches into lastIssued_ (which the caller has
-     * cleared) and folding the accounting into @p outcome.
-     */
-    void allocateStream(StreamSet &set, Addr start, std::int64_t stride,
-                        std::uint64_t now, EngineOutcome &outcome);
+    StreamSet &
+    setFor(const MemAccess &access)
+    {
+        if (instStreams_ && access.isInstruction())
+            return *instStreams_;
+        return dataStreams_;
+    }
 
     void recordRun(const StreamFlush &flushed, std::uint64_t now);
 
     StreamEngineConfig config_;
     BlockMapper mapper_;
-    std::unique_ptr<StreamSet> dataStreams_;
-    std::unique_ptr<StreamSet> instStreams_; ///< Only when partitioned.
     std::unique_ptr<UnitStrideFilter> unitFilter_;
     std::unique_ptr<CzoneFilter> czoneFilter_;
     std::unique_ptr<MinDeltaDetector> minDelta_;
 
     StreamEngineStats stats_;
     BucketedDistribution lengthDist_;
-    std::vector<BlockAddr> lastIssued_;
+    /** The issue buffer of the set the last miss went to. */
+    std::span<const BlockAddr> lastIssued_;
     EventTrace *events_ = nullptr;
     /** Tick of the most recent onPrimaryMiss; timestamps the flush
      *  events finalize() emits for the streams still alive at EOF. */
     std::uint64_t lastTick_ = 0;
     bool finalized_ = false;
+
+    /** Only when partitioned: allocated once, so an unpartitioned
+     *  engine carries one inline set, not two. */
+    std::unique_ptr<StreamSet> instStreams_;
+    // The data set last: it holds its streams inline.
+    StreamSet dataStreams_;
 };
+
+// The hit path is defined here so the memory system inlines it; a
+// stream miss leaves through the out-of-line onStreamMiss().
+// analyze:hot-path
+inline EngineOutcome
+PrefetchEngine::onPrimaryMiss(const MemAccess &access, std::uint64_t now)
+{
+    SBSIM_ASSERT(!finalized_, "onPrimaryMiss after finalize");
+    ++stats_.lookups;
+    lastTick_ = now;
+
+    // Every prefetch this miss issues lands in the set's issue buffer:
+    // the refills of a hit, the FIFO of an allocation, or nothing.
+    StreamSet &set = setFor(access);
+    StreamLookup lookup =
+        set.lookup(access.addr, now, config_.associativeLookup);
+    lastIssued_ = set.issued();
+    if (!lookup.hit)
+        return onStreamMiss(set, access, now);
+
+    const auto issued = static_cast<std::uint32_t>(lastIssued_.size());
+    ++stats_.hits;
+    stats_.uselessFlushed += lookup.skipped;
+    stats_.prefetchesIssued += issued;
+    EngineOutcome outcome;
+    outcome.streamHit = true;
+    outcome.issueTick = lookup.issueTick;
+    outcome.prefetchesIssued = issued;
+    return outcome;
+}
 
 } // namespace sbsim
 

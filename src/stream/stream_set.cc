@@ -1,7 +1,8 @@
 #include "stream_set.hh"
 
+#include <algorithm>
+
 #include "util/audit.hh"
-#include "util/logging.hh"
 
 namespace sbsim {
 
@@ -10,21 +11,101 @@ StreamSet::StreamSet(std::uint32_t num_streams, std::uint32_t depth,
                      StreamReplacement replacement)
     : mapper_(block_size),
       numStreams_(num_streams),
+      depth_(depth),
       replacement_(replacement),
-      lastUse_(num_streams, 0)
+      allStreams_(num_streams >= kMaxStreams
+                      ? ~std::uint64_t{0}
+                      : bit(num_streams) - 1)
 {
     SBSIM_ASSERT(num_streams > 0, "need at least one stream");
-    streams_.reserve(num_streams);
-    for (std::uint32_t i = 0; i < num_streams; ++i)
-        streams_.emplace_back(depth, block_size);
+    SBSIM_ASSERT(num_streams <= kMaxStreams, "at most ", kMaxStreams,
+                 " streams, got ", num_streams);
+    SBSIM_ASSERT(depth > 0, "stream depth must be nonzero");
+    SBSIM_ASSERT(depth <= kMaxDepth, "stream depth at most ", kMaxDepth,
+                 ", got ", depth);
+    reset();
+}
+
+void
+StreamSet::reset()
+{
+    active_ = 0;
+    headValid_ = 0;
+    std::fill_n(heads_, numStreams_, BlockAddr{0});
+    std::fill_n(lastUse_, numStreams_, std::uint64_t{0});
+    std::fill_n(streams_, numStreams_, Stream{});
+    std::fill_n(entries_, numStreams_ * kMaxDepth, Entry{});
+    issuedCount_ = 0;
+    tick_ = 0;
+    nextVictim_ = 0;
+    rng_ = Pcg32{kRandomSeed};
+}
+
+int
+StreamSet::entryPositionBlock(std::uint32_t s, BlockAddr block) const
+{
+    const Stream &st = streams_[s];
+    for (std::uint32_t k = 0; k < depth_; ++k) {
+        std::uint32_t slot = wrap(st.head + k);
+        if (((st.valid >> slot) & 1u) && fifo(s)[slot].block == block)
+            return static_cast<int>(k);
+    }
+    return -1;
+}
+
+StreamLookup
+StreamSet::lookupAssociative(BlockAddr block, std::uint64_t now)
+{
+    for (std::uint32_t s = 0; s < numStreams_; ++s) {
+        int pos = entryPositionBlock(s, block);
+        if (pos >= 0)
+            return consume(s, static_cast<std::uint32_t>(pos), now);
+    }
+    return {};
 }
 
 void
 StreamSet::auditState() const
 {
-    SBSIM_ASSERT(streams_.size() == numStreams_, "stream bank resized");
+    SBSIM_ASSERT((active_ & ~allStreams_) == 0 &&
+                     (headValid_ & ~active_) == 0,
+                 "stream masks outside the active bank");
     SBSIM_ASSERT(nextVictim_ < numStreams_, "FIFO rotation pointer ",
                  nextVictim_, " out of range");
+    SBSIM_ASSERT(issuedCount_ <= depth_, "issued ", issuedCount_,
+                 " prefetches from a depth-", depth_, " FIFO");
+    const std::uint32_t slots = (std::uint32_t{1} << depth_) - 1;
+    for (std::uint32_t s = 0; s < numStreams_; ++s) {
+        const Stream &st = streams_[s];
+        SBSIM_ASSERT(st.head < depth_, "stream ", s, " head ", st.head,
+                     " out of range");
+        SBSIM_ASSERT((st.valid & ~slots) == 0, "stream ", s,
+                     " has valid slots beyond depth ", depth_);
+        if (!active(s)) {
+            SBSIM_ASSERT(st.valid == 0 && st.hitRun == 0,
+                         "inactive stream ", s, " holds entries");
+            continue;
+        }
+        // The head array must mirror the entries: a stream's head bit
+        // is set exactly when its head slot is valid, and then holds
+        // that slot's block.
+        bool head_valid = (st.valid >> st.head) & 1u;
+        SBSIM_ASSERT(((headValid_ >> s) & 1u) == head_valid, "stream ", s,
+                     " head bit disagrees with its head entry");
+        SBSIM_ASSERT(!head_valid || heads_[s] == fifo(s)[st.head].block,
+                     "stream ", s, " head array holds ", heads_[s],
+                     ", head entry ", fifo(s)[st.head].block);
+        for (std::uint32_t i = 0; i < depth_; ++i) {
+            if (!((st.valid >> i) & 1u))
+                continue;
+            for (std::uint32_t j = i + 1; j < depth_; ++j) {
+                SBSIM_ASSERT(!((st.valid >> j) & 1u) ||
+                                 fifo(s)[i].block != fifo(s)[j].block,
+                             "duplicate block ", fifo(s)[i].block,
+                             " in stream ", s, " slots ", i, "/", j);
+            }
+        }
+    }
     // lastUse_ is the LRU stack as timestamps: values may not run
     // ahead of the clock and nonzero values must be distinct, or
     // victimStream() would reallocate an arbitrary stream.
@@ -39,121 +120,6 @@ StreamSet::auditState() const
                          "duplicate stream timestamps on ", i, "/", j);
         }
     }
-}
-
-// analyze:hot-path
-StreamLookup
-StreamSet::lookup(Addr a, std::uint64_t now, bool associative)
-{
-    StreamLookup result;
-    // Convert to a block base once; every stream comparator sees the
-    // same block address (one adder feeding all comparators, as in
-    // the hardware).
-    BlockAddr block = mapper_.blockBase(a);
-    for (std::uint32_t i = 0; i < numStreams_; ++i) {
-        if (streams_[i].probeHeadBlock(block)) {
-            result.hit = true;
-            result.stream = i;
-            result.consume = streams_[i].consumeHead(now);
-            lastUse_[i] = ++tick_;
-#ifdef STREAMSIM_CHECKED
-            auditState();
-#endif
-            return result;
-        }
-    }
-    if (associative) {
-        for (std::uint32_t i = 0; i < numStreams_; ++i) {
-            int pos = streams_[i].probeAnyBlock(block);
-            if (pos >= 0) {
-                result.hit = true;
-                result.stream = i;
-                result.consume =
-                    streams_[i].consumeAt(pos, now, result.skipped);
-                lastUse_[i] = ++tick_;
-#ifdef STREAMSIM_CHECKED
-                auditState();
-#endif
-                return result;
-            }
-        }
-    }
-    return result;
-}
-
-std::uint32_t
-StreamSet::victimStream()
-{
-    // Inactive streams are free and picked first under every policy.
-    for (std::uint32_t i = 0; i < numStreams_; ++i)
-        if (!streams_[i].active())
-            return i;
-
-    switch (replacement_) {
-      case StreamReplacement::FIFO: {
-        std::uint32_t v = nextVictim_;
-        nextVictim_ = (nextVictim_ + 1) % numStreams_;
-        return v;
-      }
-      case StreamReplacement::RANDOM:
-        return rng_.below(numStreams_);
-      case StreamReplacement::LRU:
-        break;
-    }
-
-    std::uint32_t best = 0;
-    std::uint64_t best_use = lastUse_[0];
-    for (std::uint32_t i = 1; i < numStreams_; ++i) {
-        if (lastUse_[i] < best_use) {
-            best = i;
-            best_use = lastUse_[i];
-        }
-    }
-    return best;
-}
-
-StreamAllocation
-StreamSet::allocate(Addr miss_addr, std::int64_t stride_bytes,
-                    std::uint64_t now)
-{
-    StreamAllocation result;
-    result.stream = allocate(miss_addr, stride_bytes, now, result.issued,
-                             result.flushed);
-    return result;
-}
-
-std::uint32_t
-StreamSet::allocate(Addr miss_addr, std::int64_t stride_bytes,
-                    std::uint64_t now, std::vector<BlockAddr> &issued_out,
-                    StreamFlush &flushed_out)
-{
-    std::uint32_t victim = victimStream();
-    flushed_out =
-        streams_[victim].allocate(miss_addr, stride_bytes, now, issued_out);
-    lastUse_[victim] = ++tick_;
-#ifdef STREAMSIM_CHECKED
-    auditState();
-#endif
-    return victim;
-}
-
-std::uint32_t
-StreamSet::invalidate(BlockAddr block)
-{
-    std::uint32_t n = 0;
-    for (auto &s : streams_)
-        n += s.invalidate(block);
-    return n;
-}
-
-std::vector<StreamFlush>
-StreamSet::drainAll()
-{
-    std::vector<StreamFlush> out;
-    out.reserve(numStreams_);
-    for (auto &s : streams_)
-        out.push_back(s.drain());
-    return out;
 }
 
 } // namespace sbsim

@@ -21,9 +21,13 @@ BucketedDistribution::BucketedDistribution(
 void
 BucketedDistribution::sample(std::uint64_t value, std::uint64_t weight)
 {
+    // The bucket index is the number of (ascending) bounds below the
+    // value. Counting them over every bound, instead of stopping at
+    // the first one not below it, has no data-dependent branch: the
+    // stream engine samples every flushed run, and run lengths vary.
     std::size_t i = 0;
-    while (i < bounds_.size() && value > bounds_[i])
-        ++i;
+    for (std::uint64_t bound : bounds_)
+        i += value > bound;
     counts_[i] += weight;
     total_ += weight;
 }

@@ -96,6 +96,35 @@ TEST(CliParse, SweepValues)
     EXPECT_FALSE(parse({"sweep", "-b", "is", "--values", "a"}).ok());
 }
 
+TEST(CliParse, StreamEngineSizesAreBounded)
+{
+    // The CLI enforces validateSpec's bounds, so an oversized engine
+    // is rejected before anything is built.
+    EXPECT_TRUE(parse({"run", "-b", "is", "--streams", "64"}).ok());
+    EXPECT_TRUE(parse({"run", "-b", "is", "--depth", "16"}).ok());
+    EXPECT_TRUE(parse({"run", "-b", "is", "--victim", "256"}).ok());
+    EXPECT_TRUE(parse({"sweep", "-b", "is", "--values", "1,64"}).ok());
+
+    ParseResult r = parse({"run", "-b", "is", "--streams", "65"});
+    EXPECT_FALSE(r.ok());
+    EXPECT_NE(r.error.find("streams"), std::string::npos) << r.error;
+    r = parse({"run", "-b", "is", "--depth", "100000000"});
+    EXPECT_FALSE(r.ok());
+    EXPECT_NE(r.error.find("depth"), std::string::npos) << r.error;
+    r = parse({"run", "-b", "is", "--victim", "257"});
+    EXPECT_FALSE(r.ok());
+    EXPECT_NE(r.error.find("victim"), std::string::npos) << r.error;
+    r = parse({"sweep", "-b", "is", "--values", "1,2,4000000000"});
+    EXPECT_FALSE(r.ok());
+    EXPECT_NE(r.error.find("values"), std::string::npos) << r.error;
+    EXPECT_FALSE(parse({"sweep", "-b", "is", "--values", "65"}).ok());
+    // The sweep's own --streams is bounded too, even though the grid
+    // overrides it.
+    EXPECT_FALSE(
+        parse({"sweep", "-b", "is", "--streams", "65", "--values", "1"})
+            .ok());
+}
+
 TEST(CliParse, TraceCacheToggle)
 {
     // Unset: defer to SBSIM_TRACE_CACHE (nullopt).

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "stream/prefetch_engine.hh"
+#include "util/random.hh"
 
 using namespace sbsim;
 
@@ -201,6 +205,38 @@ TEST(PrefetchEngine, StatsGroupExports)
     EXPECT_FALSE(g.stats().empty());
 }
 
+namespace {
+
+/** Drive @p n misses from six interleaved sequential streams, with
+ *  scattered isolated misses and write-backs mixed in. */
+std::vector<EngineOutcome>
+interleavedMisses(PrefetchEngine &engine, std::uint64_t seed, int n,
+                  std::vector<std::vector<BlockAddr>> *issued = nullptr)
+{
+    Pcg32 rng(seed);
+    std::uint64_t pos[6] = {};
+    std::vector<EngineOutcome> out;
+    for (int i = 0; i < n; ++i) {
+        Addr a;
+        std::uint32_t k = rng.below(6);
+        if (rng.below(8) == 0)
+            a = 0x4000000 + std::uint64_t{rng.below(1 << 20)} * kBlock;
+        else
+            a = 0x100000 * (k + 1) + pos[k]++ * kBlock;
+        out.push_back(engine.onPrimaryMiss(
+            k == 5 ? makeIfetch(a) : makeLoad(a), 1000 + i));
+        if (issued) {
+            auto blocks = engine.lastIssuedBlocks();
+            issued->emplace_back(blocks.begin(), blocks.end());
+        }
+        if (i % 16 == 15)
+            engine.onWriteback(0x100000 * (k + 1) + (pos[k] + 1) * kBlock);
+    }
+    return out;
+}
+
+} // namespace
+
 TEST(PrefetchEngine, ResetRestoresPristineState)
 {
     PrefetchEngine engine(baseConfig());
@@ -213,6 +249,49 @@ TEST(PrefetchEngine, ResetRestoresPristineState)
     // Usable again after reset.
     EngineOutcome out = engine.onPrimaryMiss(makeLoad(0), 1);
     EXPECT_FALSE(out.streamHit);
+
+    // A reset engine replays a miss sequence exactly as a fresh one,
+    // under every replacement policy: the LRU clock, the FIFO
+    // rotation pointer and the random generator are rewound too.
+    for (StreamReplacement repl :
+         {StreamReplacement::LRU, StreamReplacement::FIFO,
+          StreamReplacement::RANDOM}) {
+        for (bool filtered : {false, true}) {
+            SCOPED_TRACE(std::string(toString(repl)) +
+                         (filtered ? "/unit+czone" : "/always"));
+            StreamEngineConfig config =
+                filtered ? baseConfig(AllocationPolicy::UNIT_FILTER,
+                                      StrideDetection::CZONE)
+                         : baseConfig();
+            config.replacement = repl;
+            config.partitioned = true;
+            PrefetchEngine used(config);
+            interleavedMisses(used, 7, 300);
+            used.finalize();
+            used.reset();
+            EXPECT_TRUE(used.lastIssuedBlocks().empty());
+
+            PrefetchEngine fresh(config);
+            std::vector<std::vector<BlockAddr>> got_blocks, want_blocks;
+            auto got = interleavedMisses(used, 11, 200, &got_blocks);
+            auto want = interleavedMisses(fresh, 11, 200, &want_blocks);
+            int differing = 0;
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                differing += got[i].streamHit != want[i].streamHit ||
+                             got[i].issueTick != want[i].issueTick ||
+                             got[i].allocated != want[i].allocated ||
+                             got_blocks[i] != want_blocks[i];
+            }
+            EXPECT_EQ(differing, 0);
+            used.finalize();
+            fresh.finalize();
+            EXPECT_EQ(used.engineStats().hits, fresh.engineStats().hits);
+            EXPECT_EQ(used.engineStats().uselessFlushed,
+                      fresh.engineStats().uselessFlushed);
+            EXPECT_EQ(used.engineStats().uselessInvalidated,
+                      fresh.engineStats().uselessInvalidated);
+        }
+    }
 }
 
 TEST(PrefetchEngineDeath, StrideDetectionRequiresFilterPolicy)

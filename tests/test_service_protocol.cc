@@ -111,9 +111,44 @@ TEST(ServiceProtocol, SweepValuesAndDefaults)
     parseErr(R"({"op": "sweep", "spec": {"benchmark": "embar"},
         "values": [0]})");
     parseErr(R"({"op": "sweep", "spec": {"benchmark": "embar"},
+        "values": [1, 65]})");
+    parseErr(R"({"op": "sweep", "spec": {"benchmark": "embar"},
+        "values": [4294967295]})");
+    parseErr(R"({"op": "sweep", "spec": {"benchmark": "embar"},
         "values": [1, "two"]})");
     parseErr(R"({"op": "sweep", "spec": {"benchmark": "embar"},
         "values": 4})");
+}
+
+TEST(ServiceProtocol, StreamEngineSizeBoundaries)
+{
+    // The largest sizes the stream set and victim buffer hold are
+    // accepted; one more is rejected (SpecTypeAndRangeRejections).
+    Request req = parseOk(R"({"op": "run", "spec": {"benchmark": "embar",
+        "streams": 64, "depth": 16, "victim": 256}})");
+    EXPECT_EQ(req.spec.streams, 64u);
+    EXPECT_EQ(req.spec.depth, 16u);
+    EXPECT_EQ(req.spec.victimEntries, 256u);
+    req = parseOk(R"({"op": "sweep", "spec": {"benchmark": "embar"},
+        "values": [1, 64]})");
+    EXPECT_EQ(req.values, (std::vector<std::uint32_t>{1, 64}));
+
+    RequestParse r = parseRequest(
+        R"({"op": "run", "spec": {"benchmark": "embar", "streams": 65}})");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error, "streams must be at most 64");
+    r = parseRequest(
+        R"({"op": "run", "spec": {"benchmark": "embar", "depth": 17}})");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error, "depth must be at most 16");
+    r = parseRequest(
+        R"({"op": "run", "spec": {"benchmark": "embar", "victim": 257}})");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error, "victim entries must be at most 256");
+    r = parseRequest(R"({"op": "sweep", "spec": {"benchmark": "embar"},
+        "values": [65]})");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error, "values: streams must be at most 64");
 }
 
 TEST(ServiceProtocol, StructuralRejections)
@@ -154,6 +189,11 @@ TEST(ServiceProtocol, SpecTypeAndRangeRejections)
     spec_err(R"("benchmark": "embar", "streams": 0)");
     spec_err(R"("benchmark": "embar", "streams": 4294967296)");
     spec_err(R"("benchmark": "embar", "depth": 0)");
+    // The sizes the per-miss structures scan are bounded.
+    spec_err(R"("benchmark": "embar", "streams": 65)");
+    spec_err(R"("benchmark": "embar", "depth": 17)");
+    spec_err(R"("benchmark": "embar", "depth": 100000000)");
+    spec_err(R"("benchmark": "embar", "victim": 257)");
     spec_err(R"("benchmark": "embar", "filter": "yes")");
     spec_err(R"("benchmark": "embar", "czone": 64)");
     spec_err(R"("benchmark": "embar", "page_bits": 5)");

@@ -276,6 +276,44 @@ TEST(ServiceServer, AdmissionGateRejectsWithoutKillingTheConnection)
     service.waitUntilStopped();
 }
 
+TEST(ServiceServer, OversizedStreamEngineIsRejectedAndNextRequestServed)
+{
+    TempSocketDir tmp;
+    ServiceConfig config;
+    config.socketPath = tmp.socketPath();
+    config.executors = 1;
+    SweepService service(config);
+    std::string error;
+    ASSERT_TRUE(service.start(error)) << error;
+
+    // Each of these would build (or scan) an enormous structure if it
+    // reached an executor; validation turns them away at parse time.
+    TestClient client(tmp.socketPath());
+    for (const char *line :
+         {R"({"id": 1, "op": "run", "spec": {"benchmark": "embar",)"
+          R"( "refs": 20000, "depth": 100000000}})",
+          R"({"id": 2, "op": "run", "spec": {"benchmark": "embar",)"
+          R"( "refs": 20000, "victim": 100000000}})",
+          R"({"id": 3, "op": "sweep", "spec": {"benchmark": "embar",)"
+          R"( "refs": 20000}, "values": [1, 100000000]})"}) {
+        JsonParseResult r;
+        client.sendLine(line);
+        r = parseJson(client.readLine());
+        ASSERT_TRUE(r.ok()) << line;
+        EXPECT_FALSE(r.value.find("ok")->boolValue()) << line;
+    }
+
+    // The connection and the daemon carry on serving.
+    client.sendLine(kRunLine);
+    JsonParseResult r = parseJson(client.readLine());
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r.value.find("ok")->boolValue());
+    EXPECT_EQ(r.value.find("kind")->stringValue(), "run");
+
+    service.requestDrain();
+    service.waitUntilStopped();
+}
+
 TEST(ServiceServer, ShutdownRequestDrainsAdmittedWorkToCompletion)
 {
     TraceCache::instance().clear();

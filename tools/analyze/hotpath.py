@@ -1,20 +1,22 @@
-"""Hot-path pass: no heap allocation or locking in marked functions.
+"""Hot-path pass: no heap allocation, vector or lock in marked functions.
 
-The simulator's per-reference cost is the product; PR 2 flattened the
-hot loops (Cache::access, StreamSet::lookup, the PrefetchEngine, the
-MemorySystem batch drain) so that steady state touches no allocator
-and no lock. This pass keeps that property: a function whose definition
-is preceded by a `// analyze:hot-path` marker comment must not
+The simulator's per-reference cost is the product; the hot loops
+(Cache::access, the StreamSet operations, the PrefetchEngine, the
+MemorySystem batch drain and secondary level) touch no allocator and
+no lock in steady state. This pass keeps that property: a function
+whose definition is preceded by a `// analyze:hot-path` marker comment
+must not
 
   * allocate (`new`, std::make_unique/make_shared, malloc/calloc/
-    realloc/strdup), or
+    realloc/strdup),
+  * build or grow a vector (a `std::vector<...>` in the body, or a
+    push_back/emplace_back/resize call), or
   * lock (std::mutex/sbsim::Mutex types, lock_guard/unique_lock/
     scoped_lock/MutexLock, or a `.lock()` / `->lock()` call).
 
-Growth into *reused* member buffers (e.g. push_back on a vector that
-is cleared and refilled each call, amortising to no steady-state
-allocation) is deliberately allowed — the rule targets per-call
-allocation expressions, not amortised capacity growth.
+Per-miss output goes into fixed buffers instead (the stream set's
+issue buffer, read back as a span), so even amortised growth into a
+reused vector is a finding.
 
 Rules:
 
@@ -41,6 +43,9 @@ BANNED_PATTERNS = [
      "heap allocation (std::make_unique/make_shared)"),
     (re.compile(r"\b(?:malloc|calloc|realloc|strdup)\s*\("),
      "heap allocation (C allocator)"),
+    (re.compile(r"\bstd::vector\s*<"), "vector construction (std::vector)"),
+    (re.compile(r"(?:\.|->)\s*(?:push_back|emplace_back|resize)\s*\("),
+     "vector growth (push_back/emplace_back/resize)"),
     (re.compile(r"\block_guard\b|\bunique_lock\b|\bscoped_lock\b|"
                 r"\bMutexLock\b"),
      "locking (scoped lock construction)"),
@@ -52,8 +57,8 @@ BANNED_PATTERNS = [
 
 class HotPathPass(framework.Pass):
     name = "hotpath"
-    description = ("no allocation or locking in // analyze:hot-path "
-                   "marked functions")
+    description = ("no allocation, vector growth or locking in "
+                   "// analyze:hot-path marked functions")
 
     def run(self, ctx):
         findings = []
@@ -133,8 +138,15 @@ class HotPathPass(framework.Pass):
             (".lock() call in a marked function",
              {"src/stream/a.cc": body("mutex_.lock();")},
              {"hot-path"}),
-            ("push_back into a reused buffer is allowed",
+            ("push_back into a reused buffer is a finding",
              {"src/stream/b.cc": body("lastIssued_.push_back(addr);")},
+             {"hot-path"}),
+            ("a vector local is a finding",
+             {"src/stream/c.cc":
+              body("std::vector<BlockAddr> issued;")},
+             {"hot-path"}),
+            ("writing into a fixed buffer is allowed",
+             {"src/stream/d.cc": body("issued_[issuedCount_++] = block;")},
              set()),
             ("unmarked functions are out of scope",
              {"src/cache/b.cc":

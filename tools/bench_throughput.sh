@@ -50,7 +50,7 @@ trap 'rm -f "$raw_json"' EXIT
 # the fidelity gate would compare cold sampled runs against warm
 # exact ones.
 "$bench_bin" \
-    --benchmark_filter='BM_MemorySystem|BM_RunBenchmark|BM_FullSystemRun|BM_SweepFamily|BM_SweepFidelity|BM_MaterializeTrace|BM_BuildSamplingPlan|BM_ReplayMissTrace' \
+    --benchmark_filter='BM_MemorySystem|BM_RunBenchmark|BM_FullSystemRun|BM_SweepFamily|BM_SweepFidelity|BM_MaterializeTrace|BM_BuildSamplingPlan|BM_ReplayMissTrace|BM_StreamEngineReplay' \
     --benchmark_min_time="$min_time" \
     --benchmark_min_warmup_time=0.5 \
     --benchmark_repetitions="$repetitions" \
@@ -71,12 +71,14 @@ with open(ref_path) as f:
     ref = json.load(f).get("current", {})
 
 # Best-of-repetitions items/s per benchmark: on a noisy CI box the max
-# is the least-interference estimate of the machine's actual rate.
+# is the least-interference estimate of the machine's actual rate. A
+# benchmark is keyed by its run name, which keeps its arguments
+# (BM_StreamEngineReplay/10/1) and drops the repetition suffix.
 fresh = {}
 for b in raw.get("benchmarks", []):
     if b.get("run_type") == "aggregate":
         continue
-    name = b["name"].split("/")[0]
+    name = b.get("run_name", b["name"])
     ips = b.get("items_per_second")
     if ips is not None:
         fresh[name] = max(fresh.get(name, 0.0), ips)
@@ -90,7 +92,7 @@ def best_time(name):
     times = [b["real_time"]
              for b in raw.get("benchmarks", [])
              if b.get("run_type") != "aggregate"
-             and b["name"].split("/")[0] == name]
+             and b.get("run_name", b["name"]) == name]
     return min(times) if times else None
 
 exact_t = best_time("BM_SweepFidelityExact")
@@ -140,7 +142,7 @@ current = {"commit": commit}
 for b in raw.get("benchmarks", []):
     if b.get("run_type") == "aggregate":
         continue
-    name = b["name"].split("/")[0]
+    name = b.get("run_name", b["name"])
     entry = {
         "items_per_second": b.get("items_per_second"),
         "real_time_ns": b.get("real_time")
@@ -180,8 +182,6 @@ except (OSError, ValueError):
     old = {}
 if "baseline" in old:
     doc["baseline"] = old["baseline"]
-if "sweeps" in old:
-    doc["sweeps"] = old["sweeps"]
 history = list(old.get("history", []))
 if "current" in old:
     history.append(old["current"])

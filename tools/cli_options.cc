@@ -353,6 +353,18 @@ parseArgs(const std::vector<std::string> &args)
             return result;
         }
     }
+    if (o.command == Command::RUN || o.command == Command::SWEEP ||
+        o.command == Command::CAPTURE || o.command == Command::ANALYZE) {
+        // The execution core's own rules, field bounds included, so
+        // the CLI accepts exactly what the daemon accepts.
+        std::string err = service::validateSpec(toRunSpec(o));
+        if (err.empty() && o.command == Command::SWEEP)
+            err = service::validateSweepValues(o.sweepValues);
+        if (!err.empty()) {
+            result.error = err;
+            return result;
+        }
+    }
     return result;
 }
 
