@@ -104,12 +104,10 @@ MemorySystemConfig specSystemConfig(const RunSpec &spec);
 std::unique_ptr<TraceSource> makeSpecInput(const RunSpec &spec);
 
 /**
- * Drain the spec's input chain into an immutable shared trace,
- * capturing the chain's TimeSampler pass-through counts as trace
- * metadata when time sampling is on (the sampler is gone by the time
- * the trace is replayed, so this is the only chance to record them).
- * The sampled-fidelity path materialises through this so phase
- * profiling and interval replay see one stable buffer.
+ * Drain the spec's input chain into an immutable shared trace (with
+ * the chain's TimeSampler counts, as every drain records them). The
+ * sampled-fidelity path materialises through this so phase profiling
+ * and interval replay see one stable buffer.
  */
 std::shared_ptr<const MaterializedTrace>
 materializeSpecInput(const RunSpec &spec);

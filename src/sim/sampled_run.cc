@@ -293,6 +293,7 @@ runSampled(const std::shared_ptr<const MaterializedTrace> &trace,
         sp.missRateStderrPct = std::sqrt(variance);
     }
     sp.mode = toString(Fidelity::SAMPLED);
+    sp.timeSampler = trace->samplerCounts().value_or(SamplerCounts{});
     sp.intervalsTotal = plan.intervalsTotal;
     sp.intervalsSelected = plan.selected.size();
     sp.intervalRefs = plan.config.intervalRefs;

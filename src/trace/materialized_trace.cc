@@ -6,8 +6,6 @@
 #include <cstring>
 #include <new>
 
-#include "trace/time_sampler.hh"
-
 namespace sbsim {
 namespace {
 
@@ -122,7 +120,7 @@ class Mapping
 } // namespace
 
 std::shared_ptr<const MaterializedTrace>
-MaterializedTrace::fromSource(TraceSource &src, const TimeSampler *sampler)
+MaterializedTrace::fromSource(TraceSource &src)
 {
     Mapping map(roundUpToPage(kInitialBytes));
     std::size_t size = 0;
@@ -141,11 +139,7 @@ MaterializedTrace::fromSource(TraceSource &src, const TimeSampler *sampler)
     trace->size_ = size;
     trace->mappedBytes_ = map.bytes();
     trace->refs_ = static_cast<MemAccess *>(map.release());
-    if (sampler) {
-        trace->samplerSampled_ = sampler->sampledCount();
-        trace->samplerSkipped_ = sampler->skippedCount();
-        trace->hasSamplerCounts_ = true;
-    }
+    trace->samplerCounts_ = src.samplerCounts();
     return trace;
 }
 

@@ -19,9 +19,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "mem/types.hh"
+#include "trace/source.hh"
 
 namespace sbsim {
 
@@ -87,6 +89,10 @@ struct MissTraceSummary
     std::uint64_t tailL1HitCycles = 0;
     std::uint64_t tailVictimHitCycles = 0;
     std::uint64_t tailSwPrefetchCycles = 0;
+
+    /** The recorded source's TimeSampler counts, reported by every
+     *  replay of the trace. */
+    std::optional<SamplerCounts> samplerCounts;
 };
 
 /**

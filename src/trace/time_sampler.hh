@@ -95,6 +95,12 @@ class TimeSampler : public TraceSource
     std::uint64_t sampledCount() const { return sampled_; }
     std::uint64_t skippedCount() const { return skipped_; }
 
+    std::optional<SamplerCounts>
+    samplerCounts() const override
+    {
+        return SamplerCounts{sampled_, skipped_};
+    }
+
   private:
     /**
      * Drop the off window, pulling the underlying source in batches
@@ -169,6 +175,12 @@ class TruncatingSource : public TraceSource
     {
         src_.reset();
         emitted_ = 0;
+    }
+
+    std::optional<SamplerCounts>
+    samplerCounts() const override
+    {
+        return src_.samplerCounts();
     }
 
   private:
