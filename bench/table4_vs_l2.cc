@@ -17,8 +17,9 @@
  *
  * Both halves also share one front end per (benchmark, input) pair,
  * so with the trace cache on each workload is generated and pushed
- * through the L1 exactly once: the recorded miss trace is replayed by
- * the stream half (SweepJob::missTrace) and its DEMAND records feed
+ * through the L1 exactly once: the recorded miss trace, held resident
+ * in the trace store, is replayed by the stream half (the sweep's
+ * planner finds it under missTraceKey) and its DEMAND records feed
  * the candidate battery directly (replayMissesInto). SBSIM_TRACE_CACHE=0
  * restores the naive twice-through-everything path.
  *
@@ -125,13 +126,14 @@ main()
     {
         ScopedTimer timer(wall);
         if (cached) {
-            // One recording per (benchmark, input): the stream half
-            // replays it below and the L2 half consumes its DEMAND
-            // records, so the cached path also guarantees both halves
-            // see exactly the same reference stream.
+            // One recording per (benchmark, input), held here: the
+            // stream half replays it below (a resident miss trace
+            // serves even a one-job family) and the L2 half consumes
+            // its DEMAND records, so the cached path also guarantees
+            // both halves see exactly the same reference stream.
             parallelFor(stream_jobs.size(), runner.jobs(),
                         [&](std::size_t i) {
-                            SweepJob &job = stream_jobs[i];
+                            const SweepJob &job = stream_jobs[i];
                             misses[i] =
                                 TraceCache::instance().getOrRecord(
                                     missTraceKey(job.sourceKey,
@@ -141,7 +143,6 @@ main()
                                         return recordMissTrace(
                                             *src, job.config);
                                     });
-                            job.missTrace = misses[i];
                         });
         }
         stream_results = runner.run(stream_jobs);

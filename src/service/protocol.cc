@@ -1,6 +1,7 @@
 #include "protocol.hh"
 
 #include <limits>
+#include <sstream>
 
 #include "service/json.hh"
 #include "util/metrics.hh"
@@ -299,24 +300,12 @@ resultResponse(const std::string &id_json, const std::string &kind,
 std::string
 statsResponse(const std::string &id_json, const TraceCacheStats &s)
 {
-    auto field = [](const char *name, std::uint64_t v) {
-        return std::string("\"") + name +
-               "\":" + std::to_string(v);
-    };
-    return "{\"id\":" + id_json +
-           ",\"ok\":true,\"kind\":\"stats\",\"trace_cache\":{" +
-           field("ref_trace_hits", s.refTraceHits) + ',' +
-           field("ref_traces_materialized", s.refTracesMaterialized) +
-           ',' + field("miss_trace_hits", s.missTraceHits) + ',' +
-           field("miss_traces_recorded", s.missTracesRecorded) + ',' +
-           field("phase_plan_hits", s.phasePlanHits) + ',' +
-           field("phase_plans_built", s.phasePlansBuilt) + ',' +
-           field("replays", s.replays) + ',' +
-           field("resident_bytes", s.residentBytes) + ',' +
-           field("expired_purged", s.expiredPurged) + ',' +
-           field("ref_trace_entries", s.refTraceEntries) + ',' +
-           field("miss_trace_entries", s.missTraceEntries) + ',' +
-           field("phase_plan_entries", s.phasePlanEntries) + "}}\n";
+    std::ostringstream os;
+    os << "{\"id\":" << id_json
+       << ",\"ok\":true,\"kind\":\"stats\",\"trace_cache\":";
+    writeTraceCacheJson(s, os);
+    os << "}\n";
+    return os.str();
 }
 
 } // namespace service

@@ -362,12 +362,7 @@ SweepService::execute(const WorkItem &item)
         for (const SweepResult &r : results)
             refs += r.references;
         std::ostringstream doc;
-        if (runner.traceCacheEnabled()) {
-            TraceCacheStats stats = TraceCache::instance().stats();
-            writeSweepJson(results, doc, &stats);
-        } else {
-            writeSweepJson(results, doc);
-        }
+        writeSweepJson(results, doc, runner);
         item.conn->writeLine(
             resultResponse(req.idJson, kind, refs, doc.str()));
     } catch (const std::exception &e) {

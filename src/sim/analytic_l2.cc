@@ -1,5 +1,6 @@
 #include "analytic_l2.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -186,6 +187,43 @@ AnalyticL2Model::predictLocalHitRatePercent(
     if (profile_.references() == 0)
         return 0.0;
     return 100.0 - predictMissRatioPercent(config);
+}
+
+std::unique_ptr<ReuseProfiler>
+makeL2Profiler(const std::vector<CacheConfig> &l2s)
+{
+    auto covered = [](const CacheConfig &l2) {
+        return l2.numSets() > 1 && l2.assoc <= 16;
+    };
+    auto profiler = std::make_unique<ReuseProfiler>(
+        l2s.front().blockSize,
+        /*track_distances=*/!std::all_of(l2s.begin(), l2s.end(), covered));
+    for (const CacheConfig &l2 : l2s) {
+        if (covered(l2))
+            profiler->trackGeometry(static_cast<std::uint32_t>(l2.numSets()),
+                                    l2.assoc);
+    }
+    return profiler;
+}
+
+void
+reportAnalyticL2(RunOutput &out, const ReuseProfiler &profile,
+                 L2ModelKind kind, const MemorySystemConfig &config)
+{
+    AnalyticL2Model model(profile);
+    L2AnalyticReport &rep = out.l2Analytic;
+    rep.model = toString(kind);
+    rep.predictedMissRatioPct = model.predictMissRatioPercent(config.l2);
+    rep.predictedHitRatePct = model.predictLocalHitRatePercent(config.l2);
+    rep.profiledMisses = profile.references();
+    rep.uniqueBlocks = profile.uniqueBlocks();
+    if (kind == L2ModelKind::BOTH && config.useL2 &&
+        profile.references() > 0) {
+        rep.simulatedMissRatioPct =
+            100.0 - out.results.l2LocalHitRatePercent;
+        rep.absErrorPct =
+            std::abs(rep.predictedMissRatioPct - rep.simulatedMissRatioPct);
+    }
 }
 
 } // namespace sbsim

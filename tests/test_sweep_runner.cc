@@ -200,30 +200,33 @@ TEST(SweepRunner, TraceCacheOnAndOffBitIdentical)
     TraceCache::instance().clear();
 }
 
-// An explicitly attached miss trace short-circuits the front end even
-// when the cache toggle is off (callers who recorded their own trace,
-// like the Table 4 bench, opt in per job).
-TEST(SweepRunner, ExplicitMissTraceHonouredWithCacheDisabled)
+// A miss trace held resident in the store serves even a one-job
+// family, as in the Table 4 bench: it records each front end once,
+// holds the recording for its L2 study, and sweeps the stream half.
+TEST(SweepRunner, ResidentMissTraceServesASingletonJob)
 {
-    auto workload = findBenchmark("mgrid").makeWorkload();
-    TruncatingSource limited(*workload, kRefs);
-    auto trace = std::make_shared<const MissTrace>(
-        recordMissTrace(limited, paperSystemConfig(4)));
-
     SweepJob job = benchmarkJob("mgrid", ScaleLevel::DEFAULT,
                                 paperSystemConfig(4), "replayed", kRefs);
-    job.missTrace = trace;
 
-    TraceCache::instance().clear();
+    TraceCache &cache = TraceCache::instance();
+    cache.clear();
+    std::shared_ptr<const MissTrace> held = cache.getOrRecord(
+        missTraceKey(job.sourceKey, job.config), [&job] {
+            auto src = job.makeSource();
+            return recordMissTrace(*src, job.config);
+        });
+
     SweepRunner runner(1);
-    runner.setTraceCacheEnabled(false);
+    runner.setTraceCacheEnabled(true);
     std::vector<SweepResult> got = runner.run({job});
     ASSERT_EQ(got.size(), 1u);
-    EXPECT_GE(TraceCache::instance().stats().replays, 1u);
+    TraceCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.replays, 1u);
+    EXPECT_EQ(stats.missTracesRecorded, 1u);
     expectIdentical(got[0].output,
                     serialRun("mgrid", paperSystemConfig(4)),
-                    "explicit-miss-trace");
-    TraceCache::instance().clear();
+                    "resident-miss-trace");
+    cache.clear();
 }
 
 TEST(SweepRunner, ThroughputFieldsPopulated)

@@ -222,12 +222,7 @@ sweepCommand(const Options &o, std::ostream &out)
 
     if (!o.jsonOut.empty()) {
         std::ofstream js = openExport(o.jsonOut);
-        if (runner.traceCacheEnabled()) {
-            TraceCacheStats stats = TraceCache::instance().stats();
-            writeSweepJson(results, js, &stats);
-        } else {
-            writeSweepJson(results, js);
-        }
+        writeSweepJson(results, js, runner);
     }
     if (!o.csvOut.empty()) {
         std::ofstream cs = openExport(o.csvOut);
