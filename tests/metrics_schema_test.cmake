@@ -2,7 +2,8 @@
 #   1. validate_metrics.py --self-test (the validator still rejects
 #      every class of schema drift),
 #   2. a real `run --json-out` and `sweep --json-out` validated
-#      against the checked-in tools/metrics.schema.json.
+#      against the checked-in tools/metrics.schema.json, including a
+#      time-sampled sweep at sampled fidelity.
 # Driven through `cmake -P` so the test works on every generator
 # without a shell dependency.
 
@@ -61,11 +62,22 @@ if(NOT status EQUAL 0)
     message(FATAL_ERROR "sweep --trace-cache off --json-out failed: ${status}")
 endif()
 
+# Time-sampled input at sampled fidelity: the sampling section carries
+# the phase plan's intervals and the TimeSampler counts.
+execute_process(
+    COMMAND ${STREAMSIM_CLI} sweep --benchmark mgrid --refs 50000
+            --values 1,4 --sample --fidelity sampled
+            --json-out ${work}/sweep_sampled.json
+    RESULT_VARIABLE status OUTPUT_QUIET)
+if(NOT status EQUAL 0)
+    message(FATAL_ERROR "sweep --sample --fidelity sampled --json-out failed: ${status}")
+endif()
+
 execute_process(
     COMMAND ${PYTHON} ${SOURCE_DIR}/tools/validate_metrics.py
             --self-test ${work}/run.json ${work}/sweep.json
             ${work}/run_analytic.json ${work}/sweep_analytic.json
-            ${work}/sweep_nocache.json
+            ${work}/sweep_nocache.json ${work}/sweep_sampled.json
     RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
     message(FATAL_ERROR "schema validation failed: ${status}")

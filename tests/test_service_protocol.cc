@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "service/protocol.hh"
+#include "sim/sweep_runner.hh"
 
 using namespace sbsim;
 using namespace sbsim::service;
@@ -240,4 +242,29 @@ TEST(ServiceProtocol, ResponseBuilders)
     EXPECT_NE(line.find("\"miss_trace_entries\":0"),
               std::string::npos);
     EXPECT_EQ(line.back(), '\n');
+
+    // One writer: the stats response and a sweep document's aggregate
+    // carry the same trace_cache object, byte for byte.
+    TraceCacheStats all;
+    std::uint64_t value = 1;
+    for (std::uint64_t *field :
+         {&all.refTraceHits, &all.refTracesMaterialized,
+          &all.missTraceHits, &all.missTracesRecorded, &all.replays,
+          &all.residentBytes, &all.expiredPurged, &all.refTraceEntries,
+          &all.missTraceEntries, &all.phasePlanHits, &all.phasePlansBuilt,
+          &all.phasePlanEntries})
+        *field = value++;
+    auto object = [](const std::string &doc) {
+        std::size_t begin = doc.find("\"trace_cache\":{");
+        EXPECT_NE(begin, std::string::npos) << doc;
+        begin = doc.find('{', begin);
+        return doc.substr(begin, doc.find('}', begin) - begin + 1);
+    };
+    std::ostringstream sweep;
+    writeSweepJson({}, sweep, &all);
+    const std::string from_stats = object(statsResponse("7", all));
+    EXPECT_EQ(from_stats, object(sweep.str()));
+    EXPECT_NE(from_stats.find("\"phase_plan_entries\":12}"),
+              std::string::npos)
+        << from_stats;
 }
