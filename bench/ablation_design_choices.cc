@@ -246,7 +246,7 @@ victimBufferWithDirectMappedL1()
                       fmt(a.engineStats.hitRatePercent(), 1),
                       fmt(b.engineStats.hitRatePercent(), 1),
                       fmt(c.engineStats.hitRatePercent(), 1),
-                      fmt(c.victimHitRatePercent, 1)});
+                      fmt(c.results.victimHitRatePercent, 1)});
     }
     table.print(std::cout);
     std::cout << "\n(With a direct-mapped L1, conflict misses look "

@@ -23,19 +23,11 @@ paperSystemConfig(std::uint32_t num_streams, AllocationPolicy allocation,
 RunOutput
 collectOutput(MemorySystem &system)
 {
+    const RunCounts counts = system.finishCounts();
     RunOutput out;
-    out.results = system.finish();
-    if (const PrefetchEngine *engine = system.engine()) {
-        // Net of any warmup prefix (raw counters on the exact path).
-        out.engineStats = system.engineStatsSinceWarmup();
-        const BucketedDistribution &dist = engine->lengthDistribution();
-        out.lengthSharesPercent.reserve(dist.size());
-        for (std::size_t i = 0; i < dist.size(); ++i)
-            out.lengthSharesPercent.push_back(dist.sharePercent(i));
-    }
-    // Replay-aware: a replayed system reports the rate captured at
-    // record time instead of probing its (idle) victim buffer.
-    out.victimHitRatePercent = system.victimHitRatePercent();
+    out.results = deriveResults(counts);
+    out.engineStats = counts.engine;
+    out.lengthSharesPercent = system.lengthSharesPercent();
     return out;
 }
 
@@ -112,7 +104,7 @@ runMetrics(const RunOutput &out)
 
     reg.section("victim")
         .add("hits", r.victimHits)
-        .add("hit_rate_pct", out.victimHitRatePercent);
+        .add("hit_rate_pct", r.victimHitRatePercent);
 
     reg.section("l2")
         .add("hits", r.l2Hits)

@@ -77,8 +77,6 @@ struct RunOutput
     /** Stream-length distribution shares (%) for the five Table 3
      *  buckets: 1-5, 6-10, 11-15, 16-20, >20. Empty without streams. */
     std::vector<double> lengthSharesPercent;
-    /** Victim-buffer local hit rate (%); 0 without a victim buffer. */
-    double victimHitRatePercent = 0;
     /** Analytic L2 model report (zero-filled unless requested). */
     L2AnalyticReport l2Analytic;
     /** Sampled-fidelity provenance (zero-filled on the exact path). */

@@ -146,8 +146,8 @@ replayMissesInto(SecondaryCacheStudy &study, const MissTrace &trace)
     // software prefetches would perturb L1 contents relative to the
     // driver's bare L1 — either would make the recorded stream diverge
     // from what L2StudyDriver presents.
-    SBSIM_ASSERT(trace.summary().victimHits == 0 &&
-                     trace.summary().swPrefetches == 0,
+    SBSIM_ASSERT(trace.summary().counts.victimHits == 0 &&
+                     trace.summary().counts.swPrefetches == 0,
                  "miss trace incompatible with the bare-L1 study front "
                  "end");
     std::uint64_t n = 0;
@@ -163,8 +163,8 @@ replayMissesInto(SecondaryCacheStudy &study, const MissTrace &trace)
 std::uint64_t
 profileMissesInto(AnalyticCacheStudy &study, const MissTrace &trace)
 {
-    SBSIM_ASSERT(trace.summary().victimHits == 0 &&
-                     trace.summary().swPrefetches == 0,
+    SBSIM_ASSERT(trace.summary().counts.victimHits == 0 &&
+                     trace.summary().counts.swPrefetches == 0,
                  "miss trace incompatible with the bare-L1 study front "
                  "end");
     std::uint64_t n = 0;

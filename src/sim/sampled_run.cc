@@ -1,30 +1,22 @@
 #include "sim/sampled_run.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
-#include "trace/sampled_source.hh"
 #include "util/logging.hh"
 
 namespace sbsim {
 namespace {
 
-/** One measured interval: subtracted results plus its weight. */
+/** One measured interval: its weight, its counts net of the warmup
+ *  prefix, and its Table 3 shares, warmup included. */
 struct IntervalMeasure
 {
     double weight = 1.0;
-    SystemResults res;
-    StreamEngineStats es;
+    RunCounts counts;
     std::vector<double> lengthShares;
-    double victimRate = 0;
 };
-
-/** percent() for the weighted (double) sums. */
-double
-percentOf(double num, double denom)
-{
-    return denom == 0 ? 0.0 : 100.0 * num / denom;
-}
 
 std::uint64_t
 roundCount(double v)
@@ -62,224 +54,83 @@ runSampled(const std::shared_ptr<const MaterializedTrace> &trace,
                  "sampling plan built for a different trace (",
                  plan.totalRefs, " refs vs ", trace->size(), ")");
 
-    // Measure every selected interval on a fresh system: warmup
-    // prefix, endWarmup(), measured interval. SampledSource gates the
-    // two phases; run() returns at the phase boundary because the
-    // source reports exhaustion until startMeasurement().
+    // Measure every selected interval on a fresh system: the warmup
+    // range, endWarmup(), then the measured range.
     std::vector<IntervalMeasure> measures;
     measures.reserve(plan.selected.size());
     for (const SampledInterval &interval : plan.selected) {
         MemorySystem system(config);
-        SampledSource src(trace, interval);
-        system.run(src);
+        SharedTraceView warmup(trace, interval.warmupBegin, interval.begin);
+        system.run(warmup);
         system.endWarmup();
-        src.startMeasurement();
-        system.run(src);
-        RunOutput one = collectOutput(system);
-        IntervalMeasure im;
-        im.weight = interval.weight;
-        im.res = one.results;
-        im.es = one.engineStats;
-        im.lengthShares = std::move(one.lengthSharesPercent);
-        im.victimRate = one.victimHitRatePercent;
-        measures.push_back(std::move(im));
+        SharedTraceView measured(trace, interval.begin,
+                                 interval.begin + interval.length);
+        system.run(measured);
+        // finishCounts() flushes the streams, whose lengths the
+        // shares then include.
+        RunCounts measuredCounts = system.finishCounts();
+        measures.push_back({interval.weight, measuredCounts,
+                            system.lengthSharesPercent()});
     }
 
-    // Weighted reconstruction. The weighted sums are inherently
-    // fractional (cluster weights are ratios), so this is estimation
-    // arithmetic, not counter bookkeeping; it happens once per run,
-    // in deterministic interval order.
-    auto wsum = [&measures](auto field) {
-        double s = 0;
-        for (const IntervalMeasure &im : measures)
-            s += im.weight * field(im);  // analyze:allow(float-accum) weighted estimate, deterministic order
-        return s;
-    };
-    auto wcount = [&wsum](auto field) { return roundCount(wsum(field)); };
+    // Weighted reconstruction, once per run in interval order: each
+    // count is its weighted sum, rounded on its own; every rate is a
+    // ratio of unrounded weighted sums. The cycle breakdown is rounded
+    // per component, so the total is their sum and still accounts for
+    // every reported cycle.
+    RunCounts counts;
+    forEachCount([&](auto count) {
+        double sum = 0;
+        for (const IntervalMeasure &m : measures)
+            sum += m.weight * static_cast<double>(count(m.counts));  // analyze:allow(float-accum) weighted estimate, deterministic order
+        count(counts) = roundCount(sum);
+    });
+    counts.cycles = counts.cycleBreakdown.total();
+    RateOperands sums;
+    for (const IntervalMeasure &m : measures)
+        sums.add(m.counts, m.weight);
 
     RunOutput out;
-    SystemResults &r = out.results;
-    r.instructionRefs =
-        wcount([](const IntervalMeasure &m) {
-            return static_cast<double>(m.res.instructionRefs);
-        });
-    r.dataRefs = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.dataRefs);
-    });
-    r.swPrefetches = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.swPrefetches);
-    });
-    r.swPrefetchesIssued = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.swPrefetchesIssued);
-    });
-    r.swPrefetchesRedundant = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.swPrefetchesRedundant);
-    });
-    r.l1Misses = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.l1Misses);
-    });
-    r.l1DataMisses = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.l1DataMisses);
-    });
-    r.victimHits = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.victimHits);
-    });
-    r.writebacks = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.writebacks);
-    });
-    r.references = r.instructionRefs + r.dataRefs + r.swPrefetches;
+    out.results = deriveResults(counts, sums);
+    out.engineStats = counts.engine;
 
-    double accesses = wsum([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.instructionRefs +
-                                   m.res.dataRefs);
-    });
-    double instr = wsum([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.instructionRefs);
-    });
-    double data = wsum([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.dataRefs);
-    });
-    double misses = wsum([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.l1Misses);
-    });
-    double dataMisses = wsum([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.l1DataMisses);
-    });
-    r.l1MissRatePercent = percentOf(misses, accesses);
-    r.l1DataMissRatePercent = percentOf(dataMisses, data);
-    r.missesPerInstructionPercent = percentOf(dataMisses, instr);
-
-    StreamEngineStats &es = out.engineStats;
-    es.lookups = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.es.lookups);
-    });
-    es.hits = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.es.hits);
-    });
-    es.streamMisses = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.es.streamMisses);
-    });
-    es.allocations = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.es.allocations);
-    });
-    es.prefetchesIssued = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.es.prefetchesIssued);
-    });
-    es.uselessFlushed = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.es.uselessFlushed);
-    });
-    es.uselessInvalidated = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.es.uselessInvalidated);
-    });
-    r.streamHits = es.hits;
-    double lookups = wsum([](const IntervalMeasure &m) {
-        return static_cast<double>(m.es.lookups);
-    });
-    r.streamHitRatePercent = percentOf(
-        wsum([](const IntervalMeasure &m) {
-            return static_cast<double>(m.es.hits);
-        }),
-        lookups);
-    r.extraBandwidthPercent = percentOf(
-        wsum([](const IntervalMeasure &m) {
-            return static_cast<double>(m.es.uselessFlushed +
-                                       m.es.uselessInvalidated);
-        }),
-        lookups);
-
-    double l2Hits = wsum([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.l2Hits);
-    });
-    double l2Misses = wsum([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.l2Misses);
-    });
-    r.l2Hits = roundCount(l2Hits);
-    r.l2Misses = roundCount(l2Misses);
-    r.l2LocalHitRatePercent = percentOf(l2Hits, l2Hits + l2Misses);
-
-    // Cycle breakdown: round per component and report their sum as
-    // the total, preserving the exact-path invariant that the
-    // components account for every reported cycle.
-    CycleBreakdown &cb = r.cycleBreakdown;
-    cb.l1Hit = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.cycleBreakdown.l1Hit);
-    });
-    cb.victimHit = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.cycleBreakdown.victimHit);
-    });
-    cb.streamHit = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.cycleBreakdown.streamHit);
-    });
-    cb.streamStall = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.cycleBreakdown.streamStall);
-    });
-    cb.demandFetch = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.cycleBreakdown.demandFetch);
-    });
-    cb.busQueue = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.cycleBreakdown.busQueue);
-    });
-    cb.swPrefetchIssue = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.cycleBreakdown.swPrefetchIssue);
-    });
-    r.cycles = cb.total();
-    r.streamHitsReady = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.streamHitsReady);
-    });
-    r.streamHitsPending = wcount([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.streamHitsPending);
-    });
-    r.busQueueCycles = cb.busQueue;
-    double cyclesEst = wsum([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.cycles);
-    });
-    double refsEst = wsum([](const IntervalMeasure &m) {
-        return static_cast<double>(m.res.references);
-    });
-    r.avgAccessCycles = refsEst == 0 ? 0.0 : cyclesEst / refsEst;
-
-    // Distribution shares and victim rate: reference-weighted means
-    // of the per-interval percentages (documented approximation; the
-    // underlying raw counts are not exported per interval).
+    // Table 3 shares: a reference-weighted mean of the per-interval
+    // shares, each over its interval and warmup prefix (the stream
+    // lengths are not counts the intervals report).
     std::size_t shareDims = 0;
-    for (const IntervalMeasure &im : measures)
-        shareDims = std::max(shareDims, im.lengthShares.size());
-    if (shareDims > 0 && refsEst > 0) {
+    for (const IntervalMeasure &m : measures)
+        shareDims = std::max(shareDims, m.lengthShares.size());
+    if (shareDims > 0 && sums.references > 0) {
         out.lengthSharesPercent.assign(shareDims, 0.0);
         for (std::size_t j = 0; j < shareDims; ++j) {
-            out.lengthSharesPercent[j] =
-                wsum([j](const IntervalMeasure &m) {
-                    double share = j < m.lengthShares.size()
-                                       ? m.lengthShares[j]
-                                       : 0.0;
-                    return static_cast<double>(m.res.references) * share;
-                }) /
-                refsEst;
+            double sum = 0;
+            for (const IntervalMeasure &m : measures) {
+                double refs =
+                    static_cast<double>(m.counts.frontEnd.references());
+                double share =
+                    j < m.lengthShares.size() ? m.lengthShares[j] : 0.0;
+                sum += m.weight * (refs * share);  // analyze:allow(float-accum) weighted estimate, deterministic order
+            }
+            out.lengthSharesPercent[j] = sum / sums.references;
         }
     }
-    out.victimHitRatePercent =
-        refsEst == 0 ? 0.0
-                     : wsum([](const IntervalMeasure &m) {
-                           return static_cast<double>(m.res.references) *
-                                  m.victimRate;
-                       }) / refsEst;
 
     // Jackknife error bar: recompute the overall miss rate with each
     // cluster left out; the spread of those leave-one-out estimates
     // bounds the sampling error of the reported rate.
     SamplingReport &sp = out.sampling;
     const std::size_t n = measures.size();
-    if (n >= 2 && accesses > 0) {
+    if (n >= 2 && sums.accesses > 0) {
         std::vector<double> leaveOut;
         leaveOut.reserve(n);
         double mean = 0;
-        for (const IntervalMeasure &im : measures) {
-            double mk = misses -
-                        im.weight * static_cast<double>(im.res.l1Misses);
-            double ak = accesses -
-                        im.weight *
-                            static_cast<double>(im.res.instructionRefs +
-                                                im.res.dataRefs);
+        for (const IntervalMeasure &m : measures) {
+            const FrontEndCounts &fe = m.counts.frontEnd;
+            double mk = sums.l1Misses -
+                        m.weight * static_cast<double>(fe.l1Misses);
+            double ak = sums.accesses -
+                        m.weight * static_cast<double>(fe.instructionRefs +
+                                                       fe.dataRefs);
             double rate = percentOf(mk, ak);
             leaveOut.push_back(rate);
             mean += rate / static_cast<double>(n);  // analyze:allow(float-accum) jackknife estimate, deterministic order
@@ -299,7 +150,7 @@ runSampled(const std::shared_ptr<const MaterializedTrace> &trace,
     sp.intervalRefs = plan.config.intervalRefs;
     sp.warmupRefs = plan.warmupTotal();
     sp.simulatedRefs = plan.simulatedRefs();
-    sp.estimatedRefs = r.references;
+    sp.estimatedRefs = out.results.references;
     return out;
 }
 

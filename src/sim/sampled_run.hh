@@ -1,10 +1,12 @@
 /**
  * @file
  * Sampled-fidelity execution: run only a sampling plan's
- * representative intervals (each on a fresh MemorySystem with an
- * uncounted warmup prefix) and reconstruct full-trace metrics as the
- * cluster-weighted sum of the per-interval measurements, with a
- * jackknife error bar on the L1 miss rate. The public knob is the
+ * representative intervals, each on a fresh MemorySystem reading two
+ * ranged views of the trace (an uncounted warmup prefix, then the
+ * measured interval), and reconstruct full-trace metrics from the
+ * cluster-weighted sums of the intervals' RunCounts, with a jackknife
+ * error bar on the L1 miss rate. The rates come from the same
+ * derivation as a full run's (deriveResults). The public knob is the
  * Fidelity enum behind --fidelity=exact|sampled.
  */
 
@@ -34,14 +36,16 @@ const char *toString(Fidelity fidelity);
 
 /**
  * Execute @p plan over @p trace under @p config: for each selected
- * interval, replay its warmup prefix (uncounted, via
+ * interval, run its warmup prefix (uncounted, via
  * MemorySystem::endWarmup), measure the interval, then combine the
- * per-interval results weighted by cluster size. Integer counters are
- * rounded weighted sums; the cycle breakdown is rounded per component
- * and summed so it still accounts exactly for the reported cycles;
- * rates are ratios of unrounded weighted sums. The RunOutput's
- * sampling report carries the plan shape and the jackknife
- * (leave-one-cluster-out) standard error of the L1 miss rate.
+ * per-interval counts weighted by cluster size. Each count is its
+ * rounded weighted sum; the cycle total is the sum of the rounded
+ * components, so the breakdown still accounts exactly for it; every
+ * rate is a ratio of unrounded weighted sums. The Table 3 shares are
+ * a reference-weighted mean of the intervals' shares, warmup
+ * included. The RunOutput's sampling report carries the plan shape
+ * and the jackknife (leave-one-cluster-out) standard error of the L1
+ * miss rate.
  */
 RunOutput runSampled(const std::shared_ptr<const MaterializedTrace> &trace,
                      const SamplingPlan &plan,

@@ -61,28 +61,39 @@ struct MissRecord
 };
 
 /**
- * Everything finish() reports about the front end, captured at record
- * time so a replayed run's SystemResults are bit-identical to the
- * naive run's. The derived percentages are stored as computed doubles
- * (not recomputed) to guarantee bitwise equality.
+ * The counts of a run's L1 front end: the front-end part of the
+ * simulator's RunCounts. No rate is kept; every rate is derived from
+ * the counts when a run reports.
  */
-struct MissTraceSummary
+struct FrontEndCounts
 {
-    std::uint64_t references = 0;
     std::uint64_t instructionRefs = 0;
     std::uint64_t dataRefs = 0;
+    std::uint64_t swPrefetches = 0;
+    std::uint64_t swPrefetchesIssued = 0;
+    std::uint64_t swPrefetchesRedundant = 0;
     std::uint64_t l1Misses = 0;
     std::uint64_t l1DataMisses = 0;
     std::uint64_t victimHits = 0;
     std::uint64_t writebacks = 0;
-    std::uint64_t swPrefetches = 0;
-    std::uint64_t swPrefetchesIssued = 0;
-    std::uint64_t swPrefetchesRedundant = 0;
 
-    double l1MissRatePercent = 0;
-    double l1DataMissRatePercent = 0;
-    double missesPerInstructionPercent = 0;
-    double victimHitRatePercent = 0;
+    /** Instruction, data and software-prefetch references. */
+    std::uint64_t
+    references() const
+    {
+        return instructionRefs + dataRefs + swPrefetches;
+    }
+};
+
+/**
+ * What a replay needs besides the records. The recording run's
+ * front-end counts are reported by every replay as its own (a
+ * replayed front end never runs), so a replayed run's results are
+ * bit-identical to the naive run's.
+ */
+struct MissTraceSummary
+{
+    FrontEndCounts counts;
 
     /** Front-end cycles accumulated after the last record (trailing
      *  L1 hits never followed by a miss). */

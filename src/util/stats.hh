@@ -43,6 +43,14 @@ percent(std::uint64_t num, std::uint64_t denom)
                                   static_cast<double>(denom);
 }
 
+/** percent() of two doubles, such as weighted sums of counts; for
+ *  exact conversions of integers, bit for bit their percent(). */
+inline double
+percentOf(double num, double denom)
+{
+    return denom == 0 ? 0.0 : 100.0 * num / denom;
+}
+
 /** Ratio helper: num / denom, 0 when denom == 0. */
 inline double
 ratio(std::uint64_t num, std::uint64_t denom)

@@ -3,7 +3,8 @@
 #      every class of schema drift),
 #   2. a real `run --json-out` and `sweep --json-out` validated
 #      against the checked-in tools/metrics.schema.json, including a
-#      time-sampled sweep at sampled fidelity.
+#      time-sampled sweep at sampled fidelity and a sampled run with a
+#      victim buffer; every rate in them must agree with its counts.
 # Driven through `cmake -P` so the test works on every generator
 # without a shell dependency.
 
@@ -73,11 +74,23 @@ if(NOT status EQUAL 0)
     message(FATAL_ERROR "sweep --sample --fidelity sampled --json-out failed: ${status}")
 endif()
 
+# Sampled run with a victim buffer: its victim hit rate is a ratio of
+# weighted sums like every other rate, so it agrees with its counts.
+execute_process(
+    COMMAND ${STREAMSIM_CLI} run --benchmark mgrid --refs 200000
+            --victim 8 --fidelity sampled
+            --json-out ${work}/run_sampled_victim.json
+    RESULT_VARIABLE status OUTPUT_QUIET)
+if(NOT status EQUAL 0)
+    message(FATAL_ERROR "run --victim 8 --fidelity sampled --json-out failed: ${status}")
+endif()
+
 execute_process(
     COMMAND ${PYTHON} ${SOURCE_DIR}/tools/validate_metrics.py
             --self-test ${work}/run.json ${work}/sweep.json
             ${work}/run_analytic.json ${work}/sweep_analytic.json
             ${work}/sweep_nocache.json ${work}/sweep_sampled.json
+            ${work}/run_sampled_victim.json
     RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
     message(FATAL_ERROR "schema validation failed: ${status}")

@@ -3,8 +3,9 @@
  * Edge cases of draining a source into a MaterializedTrace: empty
  * sources, reference limits far beyond what a finite generator
  * produces, ragged batch sizes, the bytes a finished trace reports
- * holding (and the cache report built from them), and the
- * TimeSampler counts materializeSpecInput attaches.
+ * holding (and the cache report built from them), the TimeSampler
+ * counts materializeSpecInput attaches, and views over one range of a
+ * trace.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "service/run_spec.hh"
@@ -109,6 +111,62 @@ TEST(MaterializedTrace, EmptySourceGivesAnEmptyTrace)
     EXPECT_FALSE(view.next(a));
     const MemAccess *span = nullptr;
     EXPECT_EQ(view.nextSpan(&span, nullptr, view.remaining()), 0u);
+}
+
+TEST(MaterializedTrace, RangedViewsStayInsideTheirRange)
+{
+    std::vector<MemAccess> refs;
+    for (std::uint64_t i = 0; i < 100; ++i)
+        refs.push_back(makeLoad(i * 64));
+    VectorSource src(refs);
+    auto trace = MaterializedTrace::fromSource(src);
+    ASSERT_EQ(trace->size(), refs.size());
+
+    // Ranges at both ends of the trace, inside it, and empty ones.
+    const std::pair<std::size_t, std::size_t> ranges[] = {
+        {0, 10}, {17, 83}, {90, 100}, {40, 40}, {100, 100}};
+    for (const auto &[begin, end] : ranges) {
+        SCOPED_TRACE(std::to_string(begin) + ".." + std::to_string(end));
+        const std::vector<MemAccess> want(refs.begin() + begin,
+                                          refs.begin() + end);
+        MemAccess a;
+
+        SharedTraceView by_next(trace, begin, end);
+        EXPECT_EQ(by_next.remaining(), end - begin);
+        std::vector<MemAccess> got;
+        while (by_next.next(a))
+            got.push_back(a);
+        EXPECT_EQ(got, want);
+        EXPECT_FALSE(by_next.next(a));
+        EXPECT_EQ(by_next.remaining(), 0u);
+
+        // Asked for the whole trace, a batch stops at the range end.
+        SharedTraceView by_batch(trace, begin, end);
+        std::vector<MemAccess> batch(refs.size());
+        ASSERT_EQ(by_batch.nextBatch(batch.data(), batch.size()),
+                  end - begin);
+        batch.resize(end - begin);
+        EXPECT_EQ(batch, want);
+        EXPECT_EQ(by_batch.nextBatch(&a, 1), 0u);
+
+        // Spans point into the trace itself; reset() rewinds to the
+        // range's start, not the trace's.
+        SharedTraceView by_span(trace, begin, end);
+        for (int pass = 0; pass < 2; ++pass) {
+            got.clear();
+            const MemAccess *span = nullptr;
+            std::size_t n;
+            while ((n = by_span.nextSpan(&span, nullptr, 7)) > 0) {
+                EXPECT_LE(n, 7u);
+                EXPECT_EQ(span, trace->data() + begin + got.size());
+                got.insert(got.end(), span, span + n);
+            }
+            EXPECT_EQ(got, want);
+            EXPECT_EQ(by_span.remaining(), 0u);
+            by_span.reset();
+            EXPECT_EQ(by_span.remaining(), end - begin);
+        }
+    }
 }
 
 TEST(MaterializedTrace, HugeLimitOverAFiniteGeneratorMatchesTheExactLimit)

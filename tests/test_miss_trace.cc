@@ -102,7 +102,8 @@ expectIdentical(const RunOutput &got, const RunOutput &want,
     EXPECT_EQ(ge.uselessInvalidated, we.uselessInvalidated);
 
     EXPECT_EQ(got.lengthSharesPercent, want.lengthSharesPercent);
-    EXPECT_EQ(got.victimHitRatePercent, want.victimHitRatePercent);
+    EXPECT_EQ(got.results.victimHitRatePercent,
+              want.results.victimHitRatePercent);
 }
 
 /** Secondary variants sharing the paper L1 front end — the sweep
@@ -146,7 +147,7 @@ TEST(MissTrace, ReplayBitIdenticalAcrossSecondaryVariants)
             recordMissTrace(*rec_src, paperSystemConfig(10));
         EXPECT_FALSE(trace.empty()) << benchmark;
         EXPECT_GT(trace.size(), 0u) << benchmark;
-        EXPECT_EQ(trace.summary().references, kRefs) << benchmark;
+        EXPECT_EQ(trace.summary().counts.references(), kRefs) << benchmark;
 
         for (const auto &[name, config] : secondaryVariants()) {
             ASSERT_EQ(frontEndKey(config),
@@ -176,7 +177,8 @@ TEST(MissTrace, ReplayMatchesWithVictimBufferFrontEnd)
     RunOutput want = runOnce(*src, config);
     RunOutput got = replayOnce(trace, config);
     expectIdentical(got, want, "fftpde/victim");
-    EXPECT_EQ(got.victimHitRatePercent, want.victimHitRatePercent);
+    EXPECT_EQ(got.results.victimHitRatePercent,
+              want.results.victimHitRatePercent);
 }
 
 TEST(MissTrace, ReplayMatchesWithShuffledTranslation)
@@ -208,7 +210,7 @@ TEST(MissTrace, ReplayMatchesWithSoftwarePrefetchStream)
 
     VectorSource rec_src(refs);
     MissTrace trace = recordMissTrace(rec_src, config);
-    EXPECT_GT(trace.summary().swPrefetches, 0u);
+    EXPECT_GT(trace.summary().counts.swPrefetches, 0u);
 
     VectorSource src(refs);
     expectIdentical(replayOnce(trace, config), runOnce(src, config),

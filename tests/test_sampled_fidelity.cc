@@ -37,6 +37,27 @@ materializeBenchmark(const std::string &name, std::uint64_t refs,
     return MaterializedTrace::fromSource(limited);
 }
 
+/** Field @p field of section @p section in @p out's exported
+ *  document, as a double. */
+double
+exported(const RunOutput &out, const std::string &section,
+         const std::string &field)
+{
+    const MetricsRegistry doc = runMetrics(out);
+    const MetricsSection *s = doc.find(section);
+    if (s != nullptr) {
+        for (const auto &[name, value] : s->fields()) {
+            if (name != field)
+                continue;
+            return value.kind() == MetricValue::Kind::UINT
+                       ? static_cast<double>(value.uintValue())
+                       : value.realValue();
+        }
+    }
+    ADD_FAILURE() << "no field " << section << "." << field;
+    return 0;
+}
+
 } // namespace
 
 TEST(SampledFidelity, ParsesFidelityKinds)
@@ -87,6 +108,39 @@ TEST(SampledFidelity, ExactFallbackPlanIsBitIdentical)
     EXPECT_EQ(sampled.sampling.warmupRefs, 0u);
     EXPECT_EQ(sampled.sampling.simulatedRefs, 4000u);
     EXPECT_DOUBLE_EQ(sampled.sampling.missRateStderrPct, 0.0);
+}
+
+TEST(SampledFidelity, VictimHitRateAgreesWithItsOwnCounts)
+{
+    // The victim hit rate is a ratio of weighted sums like every other
+    // rate, so it reproduces the document's rounded counts to within
+    // their rounding: hits = rate x L1 data misses / 100, each L1 data
+    // miss being one probe of the buffer.
+    MemorySystemConfig paper = paperSystemConfig(10);
+    paper.victimBufferEntries = 8;
+    MemorySystemConfig full = paperSystemConfig(
+        10, AllocationPolicy::UNIT_FILTER, StrideDetection::CZONE, 18);
+    full.victimBufferEntries = 8;
+    full.translation = TranslationMode::SHUFFLED;
+    full.useL2 = true;
+    full.l2.sizeBytes = 256 * 1024;
+    full.busCyclesPerBlock = 4;
+
+    for (const char *name : {"mgrid", "appsp", "trfd"}) {
+        auto trace = materializeBenchmark(name, kRefs);
+        SamplingPlan plan = buildSamplingPlan(*trace);
+        ASSERT_FALSE(plan.exact) << name;
+        for (const MemorySystemConfig *config : {&paper, &full}) {
+            SCOPED_TRACE(std::string(name) +
+                         (config == &full ? "/full" : "/paper"));
+            RunOutput out = runSampled(trace, plan, *config);
+            const double hits = exported(out, "victim", "hits");
+            ASSERT_GT(hits, 0.0);
+            EXPECT_NEAR(exported(out, "victim", "hit_rate_pct") *
+                            exported(out, "l1", "data_misses") / 100.0,
+                        hits, 2.0);
+        }
+    }
 }
 
 /**

@@ -102,7 +102,8 @@ expectIdentical(const RunOutput &got, const RunOutput &want,
     EXPECT_EQ(ge.uselessInvalidated, we.uselessInvalidated);
 
     EXPECT_EQ(got.lengthSharesPercent, want.lengthSharesPercent);
-    EXPECT_EQ(got.victimHitRatePercent, want.victimHitRatePercent);
+    EXPECT_EQ(got.results.victimHitRatePercent,
+              want.results.victimHitRatePercent);
 }
 
 class SweepRunnerDifferential : public ::testing::TestWithParam<unsigned>

@@ -267,7 +267,7 @@ TEST(TraceCache, RecordsMissTracesOnceAndCountsReplays)
         MissTrace trace;
         trace.append(MissRecord::Kind::DEMAND, makeLoad(0x1000), 3, 0,
                      0);
-        trace.summary().references = 1;
+        trace.summary().counts.dataRefs = 1;
         return trace;
     };
 

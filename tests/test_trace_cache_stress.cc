@@ -279,7 +279,7 @@ TEST(TraceCacheStress, ParallelMissTraceRecordingIsSingleWriter)
                     MissTrace trace;
                     trace.append(MissRecord::Kind::DEMAND,
                                  makeLoad(0x1000 + 64 * k), 3, 0, 0);
-                    trace.summary().references = k + 1;
+                    trace.summary().counts.dataRefs = k + 1;
                     return trace;
                 });
                 if (i % 4 == 0)
@@ -292,7 +292,7 @@ TEST(TraceCacheStress, ParallelMissTraceRecordingIsSingleWriter)
 
     for (std::size_t k = 0; k < kKeys; ++k) {
         ASSERT_TRUE(got[0][k]) << k;
-        EXPECT_EQ(got[0][k]->summary().references, k + 1) << k;
+        EXPECT_EQ(got[0][k]->summary().counts.dataRefs, k + 1) << k;
         for (int t = 1; t < kThreads; ++t)
             EXPECT_EQ(got[t][k].get(), got[0][k].get())
                 << "miss key " << k << " thread " << t;

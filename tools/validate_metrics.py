@@ -8,6 +8,10 @@ minimum and oneOf.  CI runs this against a real sweep's output so a
 field rename/removal that forgets to update the schema (or bump
 schema_version) fails the build.
 
+A document that matches the schema must also agree with itself: in
+every run's sections, each rate must be the ratio of the counts it is
+reported beside, and the cycle components must sum to the total.
+
 Usage:
     validate_metrics.py [--schema FILE] output.json [more.json ...]
     validate_metrics.py --self-test
@@ -97,12 +101,75 @@ def validate(value, schema, root, path, errors):
             errors.append("%s: matches no oneOf branch" % path)
 
 
-def validate_file(json_path, schema):
-    with open(json_path) as f:
-        doc = json.load(f)
+# Each rate with the counts it is a ratio of: (rate, numerator counts,
+# denominator counts), as "section.field" names; the rate is
+# 100 * sum(numerators) / sum(denominators).
+RATE_RULES = [
+    ("l1.miss_rate_pct", ["l1.misses"],
+     ["run.instruction_refs", "run.data_refs"]),
+    ("l1.data_miss_rate_pct", ["l1.data_misses"], ["run.data_refs"]),
+    ("l1.misses_per_instruction_pct", ["l1.data_misses"],
+     ["run.instruction_refs"]),
+    ("streams.hit_rate_pct", ["streams.hits"], ["streams.lookups"]),
+    ("streams.extra_bandwidth_pct",
+     ["streams.useless_flushed", "streams.useless_invalidated"],
+     ["streams.lookups"]),
+    ("victim.hit_rate_pct", ["victim.hits"], ["l1.data_misses"]),
+    ("l2.local_hit_rate_pct", ["l2.hits"], ["l2.hits", "l2.misses"]),
+]
+
+# A sampled run reports each count as a rounded weighted sum and each
+# rate as a ratio of the unrounded sums, so a rate may miss its
+# counts by this many.
+RATE_SLACK_COUNTS = 2
+
+CYCLE_COMPONENTS = ["l1_hit", "victim_hit", "stream_hit",
+                    "stream_stall", "demand_fetch", "bus_queue",
+                    "sw_prefetch_issue"]
+
+
+def check_counts(sections, path, errors):
+    """Append an error for each rate of one run's *sections* that
+    disagrees with its counts, and for a cycle breakdown that does not
+    sum to its total."""
+    def value(name):
+        section, field = name.split(".")
+        return sections[section][field]
+
+    for rate, numerators, denominators in RATE_RULES:
+        counted = sum(value(n) for n in numerators)
+        denominator = sum(value(d) for d in denominators)
+        implied = value(rate) * denominator / 100.0
+        if abs(implied - counted) > RATE_SLACK_COUNTS:
+            errors.append("%s.%s: %r%% of %d is %.2f, but %d counted"
+                          % (path, rate, value(rate), denominator,
+                             implied, counted))
+    cycles = sections["cycles"]
+    parts = sum(cycles[c] for c in CYCLE_COMPONENTS)
+    if parts != cycles["total"]:
+        errors.append("%s.cycles: components sum to %d, total is %d"
+                      % (path, parts, cycles["total"]))
+
+
+def document_errors(doc, schema):
+    """Schema problems of *doc*, or, when it has none, the rates that
+    disagree with their counts."""
     errors = []
     validate(doc, schema, schema, "$", errors)
+    if errors:
+        return errors
+    if doc["kind"] == "run":
+        check_counts(doc["sections"], "$.sections", errors)
+    else:
+        for i, job in enumerate(doc["jobs"]):
+            check_counts(job["sections"], "$.jobs[%d].sections" % i,
+                         errors)
     return errors
+
+
+def validate_file(json_path, schema):
+    with open(json_path) as f:
+        return document_errors(json.load(f), schema)
 
 
 def self_test(schema):
@@ -180,11 +247,45 @@ def self_test(schema):
         ("sweep without aggregate rejected",
          {k: v for k, v in good_sweep.items() if k != "aggregate"},
          False),
+        ("rates that agree with their counts accepted",
+         with_sections(good_run, consistent_sections()), True),
+        ("rate within the rounding slack accepted",
+         with_sections(good_run, consistent_sections(
+             "l1.miss_rate_pct", 10.2)), True),
+        # One case per rule: a rate 3 or more counts off its counts.
+        ("l1 miss rate off its counts rejected",
+         with_sections(good_run, consistent_sections(
+             "l1.miss_rate_pct", 10.3)), False),
+        ("l1 data miss rate off its counts rejected",
+         with_sections(good_run, consistent_sections(
+             "l1.data_miss_rate_pct", 10.5)), False),
+        ("misses per instruction off its counts rejected",
+         with_sections(good_run, consistent_sections(
+             "l1.misses_per_instruction_pct", 42.0)), False),
+        ("stream hit rate off its counts rejected",
+         with_sections(good_run, consistent_sections(
+             "streams.hit_rate_pct", 60.0)), False),
+        ("EB over flushed blocks alone rejected",
+         with_sections(good_run, consistent_sections(
+             "streams.extra_bandwidth_pct", 20.0)), False),
+        ("victim hit rate over all L1 misses rejected",
+         with_sections(good_run, consistent_sections(
+             "victim.hit_rate_pct", 20.0)), False),
+        ("L2 hits over misses rejected",
+         with_sections(good_run, consistent_sections(
+             "l2.local_hit_rate_pct", 100.0 / 3)), False),
+        ("cycle components short of the total rejected",
+         with_sections(good_run, consistent_sections(
+             "cycles.total", 1501)), False),
+        ("sweep job rate off its counts rejected",
+         {**good_sweep, "jobs": [{**good_sweep["jobs"][0],
+                                  "sections": consistent_sections(
+                                      "victim.hit_rate_pct", 20.0)}]},
+         False),
     ]
     failed = 0
     for name, doc, want_ok in cases:
-        errors = []
-        validate(doc, schema, schema, "$", errors)
+        errors = document_errors(doc, schema)
         ok = not errors
         if ok != want_ok:
             failed += 1
@@ -193,6 +294,33 @@ def self_test(schema):
         return 1
     print("self-test: %d cases passed" % len(cases))
     return 0
+
+
+def with_sections(doc, sections):
+    return {**doc, "sections": sections}
+
+
+def consistent_sections(field=None, value=None):
+    """Nonzero sections whose rates agree exactly with their counts,
+    with "section.field" *field* then set to *value*."""
+    s = zero_sections()
+    s["run"].update(references=1000, instruction_refs=200,
+                    data_refs=800)
+    s["l1"].update(misses=100, data_misses=80, miss_rate_pct=10.0,
+                   data_miss_rate_pct=10.0,
+                   misses_per_instruction_pct=40.0)
+    s["streams"].update(lookups=60, hits=30, useless_flushed=12,
+                        useless_invalidated=3, hit_rate_pct=50.0,
+                        extra_bandwidth_pct=25.0)
+    s["victim"].update(hits=20, hit_rate_pct=25.0)
+    s["l2"].update(hits=10, misses=30, local_hit_rate_pct=25.0)
+    s["cycles"].update(total=1500, l1_hit=900, victim_hit=40,
+                       stream_hit=60, stream_stall=100,
+                       demand_fetch=400)
+    if field is not None:
+        section, name = field.split(".")
+        s[section][name] = value
+    return s
 
 
 def zero_trace_cache():
