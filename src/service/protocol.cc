@@ -11,148 +11,28 @@ namespace service {
 
 namespace {
 
-/** Typed field extraction. Each setter returns an error string
- *  (empty = ok) so the caller can prefix the field name. */
-
+/** The text a JSON member spells for @p field: a switch takes a
+ *  boolean, a number a non-negative integer, a word a string. */
 std::string
-getBool(const JsonValue &v, bool &out)
+specText(const SpecField &field, const JsonValue &v, std::string &text)
 {
-    if (v.kind() != JsonValue::Kind::BOOL)
-        return "must be a boolean";
-    out = v.boolValue();
-    return "";
-}
-
-std::string
-getU64(const JsonValue &v, std::uint64_t &out)
-{
-    if (v.kind() != JsonValue::Kind::UINT)
-        return "must be a non-negative integer";
-    out = v.uintValue();
-    return "";
-}
-
-std::string
-getU32(const JsonValue &v, std::uint32_t &out)
-{
-    std::uint64_t wide = 0;
-    std::string err = getU64(v, wide);
-    if (!err.empty())
-        return err;
-    if (wide > std::numeric_limits<std::uint32_t>::max())
-        return "does not fit in 32 bits";
-    out = static_cast<std::uint32_t>(wide);
-    return "";
-}
-
-std::string
-getString(const JsonValue &v, std::string &out)
-{
-    if (v.kind() != JsonValue::Kind::STRING)
-        return "must be a string";
-    out = v.stringValue();
-    return "";
-}
-
-std::string
-getScale(const JsonValue &v, ScaleLevel &out)
-{
-    std::string s;
-    std::string err = getString(v, s);
-    if (!err.empty())
-        return err;
-    if (s == "small") {
-        out = ScaleLevel::SMALL;
-    } else if (s == "default") {
-        out = ScaleLevel::DEFAULT;
-    } else if (s == "large") {
-        out = ScaleLevel::LARGE;
-    } else {
-        return "must be small|default|large";
+    switch (field.arg) {
+      case SpecArg::SWITCH:
+        if (v.kind() != JsonValue::Kind::BOOL)
+            return "must be a boolean";
+        text = v.boolValue() ? "true" : "false";
+        break;
+      case SpecArg::NUMBER:
+        if (v.kind() != JsonValue::Kind::UINT)
+            return "must be a non-negative integer";
+        text = std::to_string(v.uintValue());
+        break;
+      case SpecArg::WORD:
+        if (v.kind() != JsonValue::Kind::STRING)
+            return "must be a string";
+        text = v.stringValue();
+        break;
     }
-    return "";
-}
-
-std::string
-getL2Model(const JsonValue &v, std::optional<L2ModelKind> &out)
-{
-    std::string s;
-    std::string err = getString(v, s);
-    if (!err.empty())
-        return err;
-    std::optional<L2ModelKind> kind = parseL2Model(s);
-    if (!kind)
-        return "must be simulated|analytic|both";
-    out = *kind;
-    return "";
-}
-
-std::string
-getFidelity(const JsonValue &v, Fidelity &out)
-{
-    std::string s;
-    std::string err = getString(v, s);
-    if (!err.empty())
-        return err;
-    std::optional<Fidelity> fidelity = parseFidelity(s);
-    if (!fidelity)
-        return "must be exact|sampled";
-    out = *fidelity;
-    return "";
-}
-
-/** Apply one "spec" member; unknown keys are an error. */
-std::string
-applySpecField(const std::string &key, const JsonValue &v,
-               RunSpec &spec)
-{
-    std::string err;
-    if (key == "benchmark") {
-        err = getString(v, spec.benchmark);
-    } else if (key == "trace") {
-        err = getString(v, spec.traceFile);
-    } else if (key == "scale") {
-        err = getScale(v, spec.scale);
-    } else if (key == "refs") {
-        err = getU64(v, spec.refs);
-    } else if (key == "sample") {
-        err = getBool(v, spec.timeSample);
-    } else if (key == "streams") {
-        err = getU32(v, spec.streams);
-    } else if (key == "depth") {
-        err = getU32(v, spec.depth);
-    } else if (key == "filter") {
-        err = getBool(v, spec.unitFilter);
-    } else if (key == "czone") {
-        std::uint32_t bits = 0;
-        err = getU32(v, bits);
-        if (err.empty())
-            spec.czoneBits = bits;
-    } else if (key == "min_delta") {
-        err = getBool(v, spec.minDelta);
-    } else if (key == "partitioned") {
-        err = getBool(v, spec.partitioned);
-    } else if (key == "victim") {
-        err = getU32(v, spec.victimEntries);
-    } else if (key == "no_streams") {
-        err = getBool(v, spec.noStreams);
-    } else if (key == "shuffled_pages") {
-        err = getBool(v, spec.shuffledPages);
-    } else if (key == "page_bits") {
-        err = getU32(v, spec.pageBits);
-    } else if (key == "l2") {
-        err = getU32(v, spec.l2KiloBytes);
-    } else if (key == "l2_model") {
-        err = getL2Model(v, spec.l2Model);
-    } else if (key == "fidelity") {
-        err = getFidelity(v, spec.fidelity);
-    } else if (key == "bus") {
-        err = getU32(v, spec.busCycles);
-    } else {
-        return "spec." + key + ": unknown field";
-    }
-    if (!err.empty())
-        return "spec." + key + ": " + err;
     return "";
 }
 
@@ -162,9 +42,15 @@ parseSpec(const JsonValue &v, RunSpec &spec)
     if (v.kind() != JsonValue::Kind::OBJECT)
         return "spec: must be an object";
     for (const auto &[key, value] : v.members()) {
-        std::string err = applySpecField(key, value, spec);
+        const SpecField *field = findSpecField(key);
+        if (!field)
+            return "spec." + key + ": unknown field";
+        std::string text;
+        std::string err = specText(*field, value, text);
+        if (err.empty())
+            err = field->set(spec, text);
         if (!err.empty())
-            return err;
+            return "spec." + key + ": " + err;
     }
     return validateSpec(spec);
 }
@@ -176,11 +62,10 @@ parseValues(const JsonValue &v, std::vector<std::uint32_t> &out)
         return "values: must be an array of positive integers";
     out.clear();
     for (const JsonValue &item : v.array()) {
-        std::uint32_t n = 0;
-        std::string err = getU32(item, n);
-        if (!err.empty() || n == 0)
+        if (item.kind() != JsonValue::Kind::UINT || item.uintValue() == 0 ||
+            item.uintValue() > std::numeric_limits<std::uint32_t>::max())
             return "values: entries must be positive 32-bit integers";
-        out.push_back(n);
+        out.push_back(static_cast<std::uint32_t>(item.uintValue()));
     }
     return validateSweepValues(out);
 }
@@ -233,7 +118,8 @@ parseRequest(std::string_view line)
     } else if (name == "sweep") {
         req.op = RequestOp::SWEEP;
         wants_spec = true;
-        req.values = {1, 2, 4, 6, 8, 10}; // The CLI's default grid.
+        req.values.assign(kDefaultSweepValues.begin(),
+                          kDefaultSweepValues.end());
     } else if (name == "stats") {
         req.op = RequestOp::STATS;
     } else if (name == "shutdown") {

@@ -12,13 +12,13 @@
  *      "spec": { ...RunSpec fields... },       // run and sweep
  *      "values": [1, 2, 4]}                    // sweep grid, optional
  *
- * Spec fields mirror the CLI flags: benchmark, trace, scale, refs,
- * sample, streams, depth, filter, czone, min_delta, partitioned,
- * victim, no_streams, shuffled_pages, page_bits, l2, l2_model, bus.
- * Parsing is strict end to end (see service/json.hh): wrong types,
- * out-of-range numbers, unknown keys, and RunSpec cross-field
- * violations all yield a structured error response — never a crash,
- * never a request with silently dropped fields.
+ * The spec's keys are those of service::specFields(), the one table
+ * the CLI reads its flags through too: a switch is a JSON boolean, a
+ * number a non-negative integer, a word a string. Parsing is strict
+ * end to end (see service/json.hh): wrong types, out-of-range
+ * numbers, unknown keys, and RunSpec cross-field violations all yield
+ * a structured error response — never a crash, never a request with
+ * silently dropped fields.
  *
  * Response shape (always one line, "id" echoed):
  *

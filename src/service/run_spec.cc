@@ -1,5 +1,6 @@
 #include "run_spec.hh"
 
+#include <limits>
 #include <memory>
 
 #include "sim/memory_system.hh"
@@ -8,10 +9,133 @@
 #include "trace/reuse_profile.hh"
 #include "trace/time_sampler.hh"
 #include "util/bitutil.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace sbsim {
 namespace service {
+
+namespace {
+
+std::optional<ScaleLevel>
+parseScale(const std::string &text)
+{
+    if (text == "small")
+        return ScaleLevel::SMALL;
+    if (text == "default")
+        return ScaleLevel::DEFAULT;
+    if (text == "large")
+        return ScaleLevel::LARGE;
+    return std::nullopt;
+}
+
+/** Store @p parsed in @p out, or name the @p words it must be. */
+template <typename T, typename Out>
+std::string
+setWord(std::optional<T> parsed, Out &out, const char *words)
+{
+    if (!parsed)
+        return std::string("must be ") + words;
+    out = *parsed;
+    return "";
+}
+
+/** Parse @p text as a decimal that fits @p out. */
+template <typename T>
+std::string
+setNumber(const std::string &text, T &out)
+{
+    std::optional<std::uint64_t> value = parseUnsignedStrict(text);
+    if (!value)
+        return "must be a non-negative integer";
+    if (*value > std::numeric_limits<T>::max())
+        return "does not fit in " + std::to_string(8 * sizeof(T)) +
+               " bits";
+    out = static_cast<T>(*value);
+    return "";
+}
+
+template <auto Field>
+std::string
+setText(RunSpec &spec, const std::string &text)
+{
+    spec.*Field = text;
+    return "";
+}
+
+template <auto Field>
+std::string
+setNumberField(RunSpec &spec, const std::string &text)
+{
+    return setNumber(text, spec.*Field);
+}
+
+template <auto Field>
+std::string
+setSwitch(RunSpec &spec, const std::string &text)
+{
+    return setWord(parseBoolStrict(text), spec.*Field, "a boolean");
+}
+
+constexpr SpecField kSpecFields[] = {
+    {"benchmark", SpecArg::WORD, setText<&RunSpec::benchmark>, "-b"},
+    {"trace", SpecArg::WORD, setText<&RunSpec::traceFile>},
+    {"scale", SpecArg::WORD,
+     [](RunSpec &spec, const std::string &text) {
+         return setWord(parseScale(text), spec.scale,
+                        "small|default|large");
+     }},
+    {"refs", SpecArg::NUMBER, setNumberField<&RunSpec::refs>},
+    {"sample", SpecArg::SWITCH, setSwitch<&RunSpec::timeSample>},
+    {"streams", SpecArg::NUMBER, setNumberField<&RunSpec::streams>},
+    {"depth", SpecArg::NUMBER, setNumberField<&RunSpec::depth>},
+    {"filter", SpecArg::SWITCH, setSwitch<&RunSpec::unitFilter>},
+    {"czone", SpecArg::NUMBER,
+     [](RunSpec &spec, const std::string &text) {
+         unsigned bits = 0;
+         std::string err = setNumber(text, bits);
+         if (err.empty())
+             spec.czoneBits = bits;
+         return err;
+     }},
+    {"min_delta", SpecArg::SWITCH, setSwitch<&RunSpec::minDelta>},
+    {"partitioned", SpecArg::SWITCH, setSwitch<&RunSpec::partitioned>},
+    {"victim", SpecArg::NUMBER, setNumberField<&RunSpec::victimEntries>},
+    {"no_streams", SpecArg::SWITCH, setSwitch<&RunSpec::noStreams>},
+    {"shuffled_pages", SpecArg::SWITCH,
+     setSwitch<&RunSpec::shuffledPages>},
+    {"page_bits", SpecArg::NUMBER, setNumberField<&RunSpec::pageBits>},
+    {"l2", SpecArg::NUMBER, setNumberField<&RunSpec::l2KiloBytes>},
+    {"l2_model", SpecArg::WORD,
+     [](RunSpec &spec, const std::string &text) {
+         return setWord(parseL2Model(text), spec.l2Model,
+                        "simulated|analytic|both");
+     }},
+    {"fidelity", SpecArg::WORD,
+     [](RunSpec &spec, const std::string &text) {
+         return setWord(parseFidelity(text), spec.fidelity,
+                        "exact|sampled");
+     }},
+    {"bus", SpecArg::NUMBER, setNumberField<&RunSpec::busCycles>},
+};
+
+} // namespace
+
+std::span<const SpecField>
+specFields()
+{
+    return kSpecFields;
+}
+
+const SpecField *
+findSpecField(std::string_view key)
+{
+    for (const SpecField &field : kSpecFields) {
+        if (field.key == key)
+            return &field;
+    }
+    return nullptr;
+}
 
 std::string
 validateSpec(const RunSpec &spec)
@@ -149,23 +273,7 @@ specSourceKey(const RunSpec &spec)
 L2ModelKind
 effectiveL2Model(const RunSpec &spec)
 {
-    L2ModelKind kind =
-        spec.l2Model ? *spec.l2Model : l2ModelFromEnv();
-    if (kind != L2ModelKind::SIMULATED &&
-        spec.fidelity == Fidelity::SAMPLED) {
-        // An explicit analytic/both request with sampled fidelity is
-        // rejected by validateSpec; this catches the env fallback.
-        SBSIM_WARN("SBSIM_L2_MODEL=", toString(kind),
-                   " ignored: sampled fidelity cannot record the "
-                   "full miss stream the analytic model profiles");
-        return L2ModelKind::SIMULATED;
-    }
-    if (kind != L2ModelKind::SIMULATED && spec.l2KiloBytes == 0) {
-        SBSIM_WARN("SBSIM_L2_MODEL=", toString(kind),
-                   " ignored: no secondary cache configured (--l2)");
-        return L2ModelKind::SIMULATED;
-    }
-    return kind;
+    return spec.l2Model.value_or(L2ModelKind::SIMULATED);
 }
 
 RunExecution

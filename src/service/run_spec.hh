@@ -10,19 +10,24 @@
  * differential smoke test meaningful: the two paths cannot drift
  * because there is only one path.
  *
- * Everything here is deterministic for a given spec. The only
- * environment sensitivity is effectiveL2Model()'s SBSIM_L2_MODEL
- * fallback, which both front ends resolve through the same call.
+ * Both front ends also read a spec through one grammar: the field
+ * table specFields() names every RunSpec field once, with its key and
+ * the one setter that parses its text, and validateSpec() holds every
+ * rule a spec must satisfy. Everything here is deterministic for a
+ * given spec.
  */
 
 #ifndef STREAMSIM_SERVICE_RUN_SPEC_HH
 #define STREAMSIM_SERVICE_RUN_SPEC_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/analytic_l2.hh"
@@ -36,7 +41,7 @@ namespace sbsim {
 namespace service {
 
 /** One simulation request: input selection + system configuration.
- *  Field semantics and defaults mirror the CLI flags (see usage()). */
+ *  Every field is read through its specFields() entry. */
 struct RunSpec
 {
     // Input selection: exactly one of benchmark/traceFile.
@@ -59,12 +64,46 @@ struct RunSpec
     std::uint32_t pageBits = 12;
     std::uint32_t l2KiloBytes = 0; ///< 0 = no secondary cache.
     std::uint32_t busCycles = 0;   ///< Bus cycles/block (0 = infinite).
-    /** L2 evaluation backend; unset defers to SBSIM_L2_MODEL. */
+    /** L2 evaluation backend; unset means simulated. */
     std::optional<L2ModelKind> l2Model;
     /** Exact replays every reference; sampled simulates only a phase
      *  plan's representative intervals (sim/sampled_run.hh). */
     Fidelity fidelity = Fidelity::EXACT;
+
+    bool operator==(const RunSpec &) const = default;
 };
+
+/** How a spec field's value is spelled on each front end. */
+enum class SpecArg : std::uint8_t
+{
+    SWITCH, ///< A bare CLI flag; a JSON boolean.
+    NUMBER, ///< CLI text; a JSON non-negative integer.
+    WORD,   ///< CLI text; a JSON string.
+};
+
+/** One RunSpec field, as both front ends read it. */
+struct SpecField
+{
+    /** The JSON key; the CLI flag is "--" + key with '_' as '-'. */
+    std::string_view key;
+    SpecArg arg;
+    /** Parse @p text (a switch's is "true" or "false") into the
+     *  field. @return empty on success, else the reason, which the
+     *  front end prefixes with the key or flag. */
+    std::string (*set)(RunSpec &spec, const std::string &text);
+    /** A short CLI flag for the field, if any. */
+    std::string_view alias = {};
+};
+
+/** The table of every RunSpec field, each named once. */
+std::span<const SpecField> specFields();
+
+/** The table entry with JSON key @p key, or nullptr. */
+const SpecField *findSpecField(std::string_view key);
+
+/** The stream counts a sweep runs when the request names none. */
+inline constexpr std::array<std::uint32_t, 6> kDefaultSweepValues = {
+    1, 2, 4, 6, 8, 10};
 
 /**
  * Largest victim buffer a spec may configure. The buffer is searched
@@ -80,8 +119,9 @@ inline constexpr std::uint32_t kMaxVictimEntries = 256;
  * structures scan are bounded: streams and depth by the stream set's
  * capacity (StreamSet::kMaxStreams, StreamSet::kMaxDepth), victim
  * entries by kMaxVictimEntries. @return empty string when valid, else
- * a one-line human-readable reason. The CLI parser and the service
- * protocol both enforce exactly this set.
+ * a one-line human-readable reason. This is the only place spec
+ * rules live: the CLI parser and the service protocol both enforce
+ * exactly this set.
  */
 std::string validateSpec(const RunSpec &spec);
 
@@ -121,13 +161,8 @@ materializeSpecInput(const RunSpec &spec);
  */
 std::string specSourceKey(const RunSpec &spec);
 
-/**
- * Resolve the L2 evaluation backend: the spec's explicit choice wins,
- * else SBSIM_L2_MODEL, else simulated. An env-only analytic/both
- * request without a secondary cache has nothing to predict, so it
- * warns and falls back to simulated (an explicit analytic/both
- * without --l2 is rejected by validateSpec instead).
- */
+/** Resolve the L2 evaluation backend: the spec's choice, else
+ *  simulated. */
 L2ModelKind effectiveL2Model(const RunSpec &spec);
 
 /** What one executed run produced. */

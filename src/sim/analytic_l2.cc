@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "util/audit.hh"
 #include "util/logging.hh"
@@ -34,19 +33,6 @@ toString(L2ModelKind kind)
         return "both";
     }
     return "simulated";
-}
-
-L2ModelKind
-l2ModelFromEnv()
-{
-    const char *raw = std::getenv("SBSIM_L2_MODEL");
-    if (!raw || !*raw)
-        return L2ModelKind::SIMULATED;
-    if (std::optional<L2ModelKind> kind = parseL2Model(raw))
-        return *kind;
-    SBSIM_WARN("SBSIM_L2_MODEL=\"", raw,
-               "\" is not simulated|analytic|both; using simulated");
-    return L2ModelKind::SIMULATED;
 }
 
 namespace {

@@ -24,8 +24,9 @@
  * histogram's <= 3.1% relative bucket width bounds the
  * discretisation error.
  *
- * The model kind knob (--l2-model / SBSIM_L2_MODEL) selecting between
- * the simulated battery, this evaluator, or both, also lives here.
+ * The model kind (a RunSpec's l2_model, the CLI's --l2-model)
+ * selecting between the simulated battery, this evaluator, or both,
+ * also lives here.
  */
 
 #ifndef STREAMSIM_SIM_ANALYTIC_L2_HH
@@ -54,12 +55,6 @@ enum class L2ModelKind : std::uint8_t
 std::optional<L2ModelKind> parseL2Model(const std::string &s);
 
 const char *toString(L2ModelKind kind);
-
-/**
- * SBSIM_L2_MODEL, strictly parsed: unset/empty -> SIMULATED,
- * malformed values warn (once per read) and fall back to SIMULATED.
- */
-L2ModelKind l2ModelFromEnv();
 
 /** Prices any cache geometry against one finished profile. */
 class AnalyticL2Model

@@ -74,36 +74,23 @@ AnalyticCacheStudy::AnalyticCacheStudy(
     : configs_(configs)
 {
     SBSIM_ASSERT(!configs_.empty(), "L2 study needs candidates");
-    // Every candidate with more than one set and a scannable way
-    // count gets an exact conflict class on its block-size profiler,
-    // so results() prices it with no modeling assumption. When a
-    // block size's whole candidate slice is class-covered, its
-    // profiler skips the distance histogram entirely — the classes
-    // answer every query, at half the per-miss cost.
+    // One profiler per block size, over that block size's candidates:
+    // makeL2Profiler registers every candidate an exact conflict
+    // class can price, so results() prices it with no modeling
+    // assumption.
     for (const CacheConfig &c : configs_) {
         c.validate();
         bool seen = false;
-        for (const ReuseProfiler &p : profilers_)
-            seen = seen || p.blockSize() == c.blockSize;
+        for (const auto &p : profilers_)
+            seen = seen || p->blockSize() == c.blockSize;
         if (seen)
             continue;
-        bool all_covered = true;
+        std::vector<CacheConfig> same_block;
         for (const CacheConfig &other : configs_) {
             if (other.blockSize == c.blockSize)
-                all_covered = all_covered && other.numSets() > 1 &&
-                              other.assoc <= 16;
+                same_block.push_back(other);
         }
-        profilers_.emplace_back(c.blockSize,
-                                /*track_distances=*/!all_covered);
-    }
-    for (const CacheConfig &c : configs_) {
-        if (c.numSets() <= 1 || c.assoc > 16)
-            continue;
-        for (ReuseProfiler &p : profilers_) {
-            if (p.blockSize() == c.blockSize)
-                p.trackGeometry(
-                    static_cast<std::uint32_t>(c.numSets()), c.assoc);
-        }
+        profilers_.push_back(makeL2Profiler(same_block));
     }
 }
 
@@ -111,19 +98,19 @@ void
 AnalyticCacheStudy::onL1Miss(const MemAccess &access)
 {
     ++missesSeen_;
-    for (ReuseProfiler &p : profilers_)
-        p.onAccess(access.addr);
+    for (const auto &p : profilers_)
+        p->onAccess(access.addr);
 }
 
 const ReuseProfiler &
 AnalyticCacheStudy::profileFor(unsigned block_size) const
 {
-    for (const ReuseProfiler &p : profilers_) {
-        if (p.blockSize() == block_size)
-            return p;
+    for (const auto &p : profilers_) {
+        if (p->blockSize() == block_size)
+            return *p;
     }
     SBSIM_FATAL("no profile at block size ", block_size);
-    return profilers_.front(); // Unreachable.
+    return *profilers_.front(); // Unreachable.
 }
 
 std::vector<L2Result>
@@ -139,13 +126,18 @@ AnalyticCacheStudy::results() const
     return out;
 }
 
+namespace {
+
+/**
+ * Feed every DEMAND record of @p trace to @p study. A victim buffer
+ * would filter misses out of the stream and software prefetches would
+ * perturb L1 contents relative to the driver's bare L1 — either would
+ * make the recorded stream diverge from what L2StudyDriver presents.
+ */
+template <typename Study>
 std::uint64_t
-replayMissesInto(SecondaryCacheStudy &study, const MissTrace &trace)
+feedDemandMisses(Study &study, const MissTrace &trace)
 {
-    // A victim buffer would filter misses out of the stream and
-    // software prefetches would perturb L1 contents relative to the
-    // driver's bare L1 — either would make the recorded stream diverge
-    // from what L2StudyDriver presents.
     SBSIM_ASSERT(trace.summary().counts.victimHits == 0 &&
                      trace.summary().counts.swPrefetches == 0,
                  "miss trace incompatible with the bare-L1 study front "
@@ -160,21 +152,18 @@ replayMissesInto(SecondaryCacheStudy &study, const MissTrace &trace)
     return n;
 }
 
+} // namespace
+
+std::uint64_t
+replayMissesInto(SecondaryCacheStudy &study, const MissTrace &trace)
+{
+    return feedDemandMisses(study, trace);
+}
+
 std::uint64_t
 profileMissesInto(AnalyticCacheStudy &study, const MissTrace &trace)
 {
-    SBSIM_ASSERT(trace.summary().counts.victimHits == 0 &&
-                     trace.summary().counts.swPrefetches == 0,
-                 "miss trace incompatible with the bare-L1 study front "
-                 "end");
-    std::uint64_t n = 0;
-    trace.forEach([&](const MissRecord &rec) {
-        if (rec.kind != MissRecord::Kind::DEMAND)
-            return;
-        study.onL1Miss(rec.access);
-        ++n;
-    });
-    return n;
+    return feedDemandMisses(study, trace);
 }
 
 std::vector<CacheConfig>

@@ -13,6 +13,7 @@
 #define STREAMSIM_SIM_L2_STUDY_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -112,7 +113,7 @@ class AnalyticCacheStudy
     std::vector<CacheConfig> configs_;
     /** One profiler per distinct candidate block size, in first-seen
      *  order. */
-    std::vector<ReuseProfiler> profilers_;
+    std::vector<std::unique_ptr<ReuseProfiler>> profilers_;
     std::uint64_t missesSeen_ = 0;
 };
 

@@ -387,12 +387,18 @@ class MemorySystem
     /** Occupy the bus for one block; @return the queueing delay. */
     std::uint64_t occupyBus();
 
+    /** What one block fetch costs its requester. */
+    struct FetchCost
+    {
+        std::uint64_t cycles = 0; ///< The latency the requester sees,
+        std::uint64_t queued = 0; ///< of which queueing for the bus.
+    };
+
     /**
      * Fetch one block below the streams: from the L2 when present
      * and hit, otherwise from main memory.
-     * @return the latency the requester sees.
      */
-    std::uint64_t fetchBlock(Addr addr, TrafficKind kind);
+    FetchCost fetchBlock(Addr addr, TrafficKind kind);
 
     MemorySystemConfig config_;
     PageMapper pageMapper_;
@@ -407,7 +413,6 @@ class MemorySystem
     Counter streamHitsReady_;
     Counter streamHitsPending_;
     Counter victimHits_;
-    Counter busQueueCycles_;
     Counter swPrefetches_;
     Counter swPrefetchesIssued_;
     Counter swPrefetchesRedundant_;

@@ -4,10 +4,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "cli_commands.hh"
 #include "cli_options.hh"
+#include "service/protocol.hh"
 
 using namespace sbsim;
 using namespace sbsim::cli;
@@ -44,20 +48,20 @@ TEST(CliParse, RunWithBenchmark)
                            "--filter", "--czone", "18"});
     ASSERT_TRUE(r.ok()) << r.error;
     EXPECT_EQ(r.options.command, Command::RUN);
-    EXPECT_EQ(r.options.benchmark, "mgrid");
-    EXPECT_EQ(r.options.refs, 1000u);
-    EXPECT_EQ(r.options.streams, 8u);
-    EXPECT_EQ(r.options.depth, 4u);
-    EXPECT_TRUE(r.options.unitFilter);
-    ASSERT_TRUE(r.options.czoneBits.has_value());
-    EXPECT_EQ(*r.options.czoneBits, 18u);
+    EXPECT_EQ(r.options.spec.benchmark, "mgrid");
+    EXPECT_EQ(r.options.spec.refs, 1000u);
+    EXPECT_EQ(r.options.spec.streams, 8u);
+    EXPECT_EQ(r.options.spec.depth, 4u);
+    EXPECT_TRUE(r.options.spec.unitFilter);
+    ASSERT_TRUE(r.options.spec.czoneBits.has_value());
+    EXPECT_EQ(*r.options.spec.czoneBits, 18u);
 }
 
 TEST(CliParse, ScaleLevels)
 {
     ParseResult r = parse({"run", "-b", "cgm", "--scale", "large"});
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.options.scale, ScaleLevel::LARGE);
+    EXPECT_EQ(r.options.spec.scale, ScaleLevel::LARGE);
     EXPECT_FALSE(parse({"run", "-b", "cgm", "--scale", "huge"}).ok());
 }
 
@@ -161,7 +165,7 @@ TEST(CliParse, ToSystemConfig)
                            "--depth", "3", "--filter", "--czone", "20",
                            "--victim", "4", "--partitioned"});
     ASSERT_TRUE(r.ok()) << r.error;
-    MemorySystemConfig config = toSystemConfig(r.options);
+    MemorySystemConfig config = service::specSystemConfig(r.options.spec);
     EXPECT_EQ(config.streams.numStreams, 6u);
     EXPECT_EQ(config.streams.depth, 3u);
     EXPECT_EQ(config.streams.allocation, AllocationPolicy::UNIT_FILTER);
@@ -176,7 +180,7 @@ TEST(CliParse, NoStreams)
 {
     ParseResult r = parse({"run", "-b", "adm", "--no-streams"});
     ASSERT_TRUE(r.ok());
-    EXPECT_FALSE(toSystemConfig(r.options).useStreams);
+    EXPECT_FALSE(service::specSystemConfig(r.options.spec).useStreams);
 }
 
 TEST(CliParse, PageTranslation)
@@ -184,11 +188,195 @@ TEST(CliParse, PageTranslation)
     ParseResult r = parse({"run", "-b", "fftpde", "--shuffled-pages",
                            "--page-bits", "16"});
     ASSERT_TRUE(r.ok()) << r.error;
-    MemorySystemConfig config = toSystemConfig(r.options);
+    MemorySystemConfig config = service::specSystemConfig(r.options.spec);
     EXPECT_EQ(config.translation, TranslationMode::SHUFFLED);
     EXPECT_EQ(config.pageBits, 16u);
     EXPECT_FALSE(
         parse({"run", "-b", "fftpde", "--page-bits", "3"}).ok());
+}
+
+// ---------------------------------------------------------------------
+// One request grammar: each RunSpec field reads the same through its
+// CLI flag and its JSON key (service::specFields()).
+
+namespace {
+
+/** A spec as (key, value) pairs; a switch's value is "true". */
+using SpecPairs = std::vector<std::pair<std::string, std::string>>;
+
+const service::SpecField &
+fieldOf(const std::string &key)
+{
+    const service::SpecField *field = service::findSpecField(key);
+    if (!field)
+        throw std::invalid_argument("no spec field " + key);
+    return *field;
+}
+
+/** The spec @p pairs give as streamsim run flags; nullopt if
+ *  rejected. */
+std::optional<service::RunSpec>
+viaCli(const SpecPairs &pairs)
+{
+    std::vector<std::string> args = {"run"};
+    for (const auto &[key, value] : pairs) {
+        args.push_back(specFlag(fieldOf(key)));
+        if (fieldOf(key).arg != service::SpecArg::SWITCH)
+            args.push_back(value);
+    }
+    ParseResult r = parseArgs(args);
+    if (!r.ok())
+        return std::nullopt;
+    return r.options.spec;
+}
+
+/** The spec @p pairs give as a run request's "spec"; nullopt if
+ *  rejected. A word's value is quoted, any other value is written
+ *  as the JSON token it is. */
+std::optional<service::RunSpec>
+viaJson(const SpecPairs &pairs)
+{
+    std::string members;
+    for (const auto &[key, value] : pairs) {
+        const bool word = fieldOf(key).arg == service::SpecArg::WORD;
+        members += (members.empty() ? "\"" : ", \"") + key + "\": " +
+                   (word ? '"' + value + '"' : value);
+    }
+    service::RequestParse r = service::parseRequest(
+        R"({"op": "run", "spec": {)" + members + "}}");
+    if (!r.ok())
+        return std::nullopt;
+    return r.request.spec;
+}
+
+/** A valid, non-default value of a field, and the fields it needs. */
+struct ValidValue
+{
+    std::string value;
+    SpecPairs needs;
+};
+
+const std::map<std::string, ValidValue> &
+validValues()
+{
+    static const std::map<std::string, ValidValue> values = {
+        {"benchmark", {"mgrid", {}}},
+        {"trace", {"x.trace", {}}},
+        {"scale", {"large", {}}},
+        {"refs", {"1000", {}}},
+        {"sample", {"true", {}}},
+        {"streams", {"8", {}}},
+        {"depth", {"4", {}}},
+        {"filter", {"true", {}}},
+        {"czone", {"18", {{"filter", "true"}}}},
+        {"min_delta", {"true", {{"filter", "true"}}}},
+        {"partitioned", {"true", {}}},
+        {"victim", {"4", {}}},
+        {"no_streams", {"true", {}}},
+        {"shuffled_pages", {"true", {}}},
+        {"page_bits", {"16", {}}},
+        {"l2", {"256", {}}},
+        {"l2_model", {"analytic", {{"l2", "256"}}}},
+        {"fidelity", {"sampled", {}}},
+        {"bus", {"4", {}}},
+    };
+    return values;
+}
+
+/** @p key = @p value in an otherwise valid spec. */
+SpecPairs
+specWith(const std::string &key, const std::string &value)
+{
+    SpecPairs pairs;
+    if (key != "benchmark" && key != "trace")
+        pairs.emplace_back("benchmark", "mgrid");
+    const SpecPairs &needs = validValues().at(key).needs;
+    pairs.insert(pairs.end(), needs.begin(), needs.end());
+    pairs.emplace_back(key, value);
+    return pairs;
+}
+
+} // namespace
+
+TEST(SpecGrammar, EveryFieldReadsAlikeThroughFlagAndKey)
+{
+    for (const service::SpecField &field : service::specFields()) {
+        const std::string key(field.key);
+        ASSERT_TRUE(validValues().count(key)) << key << " has no value";
+        const SpecPairs pairs = specWith(key, validValues().at(key).value);
+        std::optional<service::RunSpec> cli = viaCli(pairs);
+        std::optional<service::RunSpec> json = viaJson(pairs);
+        ASSERT_TRUE(cli.has_value()) << key;
+        ASSERT_TRUE(json.has_value()) << key;
+        EXPECT_TRUE(*cli == *json) << key;
+        // The value reached the spec.
+        const SpecPairs without(pairs.begin(), pairs.end() - 1);
+        EXPECT_TRUE(cli != viaCli(without)) << key;
+    }
+}
+
+TEST(SpecGrammar, BothFrontEndsRejectTheSameValues)
+{
+    struct Bad
+    {
+        std::string cli;  ///< Empty: a bare flag has no value.
+        std::string json; ///< As viaJson writes it.
+    };
+    for (const service::SpecField &field : service::specFields()) {
+        const std::string key(field.key);
+        std::vector<Bad> bad;
+        switch (field.arg) {
+          case service::SpecArg::NUMBER:
+            bad = {{"-1", "-1"}, {" 3", "\" 3\""}, {"+5", "+5"}};
+            if (key == "refs")
+                bad.push_back({"18446744073709551616",
+                               "18446744073709551616"});
+            else
+                bad.push_back({"4294967296", "4294967296"});
+            break;
+          case service::SpecArg::SWITCH:
+            bad = {{"", "\"yes\""}, {"", "1"}, {"", "null"}};
+            break;
+          case service::SpecArg::WORD:
+            if (key != "trace")
+                bad = {{"turbo", "turbo"}};
+            break;
+        }
+        for (const Bad &b : bad) {
+            if (!b.cli.empty()) {
+                EXPECT_FALSE(viaCli(specWith(key, b.cli)))
+                    << key << " = '" << b.cli << "'";
+            }
+            EXPECT_FALSE(viaJson(specWith(key, b.json)))
+                << key << ": " << b.json;
+        }
+    }
+}
+
+TEST(SpecGrammar, L2ZeroMeansNoL2OnBothFrontEnds)
+{
+    const SpecPairs pairs = {{"benchmark", "mgrid"}, {"l2", "0"}};
+    std::optional<service::RunSpec> cli = viaCli(pairs);
+    std::optional<service::RunSpec> json = viaJson(pairs);
+    ASSERT_TRUE(cli.has_value());
+    ASSERT_TRUE(json.has_value());
+    EXPECT_TRUE(*cli == *json);
+    EXPECT_FALSE(service::specSystemConfig(*cli).useL2);
+}
+
+TEST(SpecGrammar, UsageNamesEveryFieldFlag)
+{
+    const std::string text = usage();
+    for (const service::SpecField &field : service::specFields()) {
+        EXPECT_NE(text.find("  " + specFlag(field) + " "),
+                  std::string::npos)
+            << field.key;
+        if (!field.alias.empty()) {
+            EXPECT_NE(text.find("(" + std::string(field.alias) + ")"),
+                      std::string::npos)
+                << field.key;
+        }
+    }
 }
 
 TEST(CliCommands, ListShowsAllBenchmarks)

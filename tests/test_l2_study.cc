@@ -163,23 +163,23 @@ TEST(L2ModelCli, ParsesEveryKind)
     ParseResult r = parse({"run", "-b", "mgrid", "--l2", "256",
                            "--l2-model", "analytic"});
     ASSERT_TRUE(r.ok()) << r.error;
-    ASSERT_TRUE(r.options.l2Model.has_value());
-    EXPECT_EQ(*r.options.l2Model, L2ModelKind::ANALYTIC);
+    ASSERT_TRUE(r.options.spec.l2Model.has_value());
+    EXPECT_EQ(*r.options.spec.l2Model, L2ModelKind::ANALYTIC);
 
     r = parse({"sweep", "-b", "mgrid", "--l2", "256", "--l2-model",
                "both"});
     ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(*r.options.l2Model, L2ModelKind::BOTH);
+    EXPECT_EQ(*r.options.spec.l2Model, L2ModelKind::BOTH);
 
     // "simulated" is accepted without --l2 (it predicts nothing).
     r = parse({"run", "-b", "mgrid", "--l2-model", "simulated"});
     ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(*r.options.l2Model, L2ModelKind::SIMULATED);
+    EXPECT_EQ(*r.options.spec.l2Model, L2ModelKind::SIMULATED);
 
-    // Unset flag leaves the optional empty (env decides later).
+    // Unset flag leaves the optional empty (unset means simulated).
     r = parse({"run", "-b", "mgrid"});
     ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_FALSE(r.options.l2Model.has_value());
+    EXPECT_FALSE(r.options.spec.l2Model.has_value());
 }
 
 TEST(L2ModelCli, RejectsBadValues)

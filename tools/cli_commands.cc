@@ -59,17 +59,6 @@ writeRunCsv(const MetricsRegistry &reg, std::ostream &os)
     os << '\n';
 }
 
-/**
- * Build the self-owned source chain the options describe (through
- * the shared execution core, so the CLI and the sweep service
- * construct byte-identical inputs from equivalent requests).
- */
-std::unique_ptr<TraceSource>
-makeInput(const Options &o)
-{
-    return service::makeSpecInput(toRunSpec(o));
-}
-
 int
 listCommand(std::ostream &out)
 {
@@ -87,7 +76,7 @@ listCommand(std::ostream &out)
 int
 runCommandImpl(const Options &o, std::ostream &out)
 {
-    const service::RunSpec spec = toRunSpec(o);
+    const service::RunSpec &spec = o.spec;
     const L2ModelKind l2_model = service::effectiveL2Model(spec);
     EventTrace events;
 
@@ -124,16 +113,16 @@ runCommandImpl(const Options &o, std::ostream &out)
     table.addRow({"references", fmt(refs)});
     table.addRow({"l1_miss_rate_%", fmt(r.l1MissRatePercent, 3)});
     table.addRow({"l1_misses", fmt(r.l1Misses)});
-    if (!o.noStreams) {
+    if (!spec.noStreams) {
         table.addRow(
             {"stream_hit_rate_%", fmt(r.streamHitRatePercent, 1)});
         table.addRow(
             {"extra_bandwidth_%", fmt(r.extraBandwidthPercent, 1)});
         table.addRow({"stream_hits_pending", fmt(r.streamHitsPending)});
     }
-    if (o.victimEntries > 0)
+    if (spec.victimEntries > 0)
         table.addRow({"victim_hits", fmt(r.victimHits)});
-    if (o.l2KiloBytes > 0)
+    if (spec.l2KiloBytes > 0)
         table.addRow(
             {"l2_local_hit_%", fmt(r.l2LocalHitRatePercent, 1)});
     if (l2_model != L2ModelKind::SIMULATED) {
@@ -169,7 +158,7 @@ runCommandImpl(const Options &o, std::ostream &out)
 int
 captureCommand(const Options &o, std::ostream &out)
 {
-    std::unique_ptr<TraceSource> input = makeInput(o);
+    std::unique_ptr<TraceSource> input = service::makeSpecInput(o.spec);
     TraceWriter writer(o.outFile);
     std::uint64_t n = writer.appendAll(*input);
     writer.close();
@@ -189,7 +178,7 @@ sweepCommand(const Options &o, std::ostream &out)
     // varies), so one source key covers the whole grid and the
     // runner materialises/records it once.
     std::vector<SweepJob> jobs = service::buildSweepJobs(
-        toRunSpec(o), o.sweepValues,
+        o.spec, o.sweepValues,
         event_traces.empty() ? nullptr : &event_traces);
 
     SweepRunner runner(o.jobs);
@@ -241,7 +230,7 @@ sweepCommand(const Options &o, std::ostream &out)
 int
 analyzeCommand(const Options &o, std::ostream &out)
 {
-    std::unique_ptr<TraceSource> input = makeInput(o);
+    std::unique_ptr<TraceSource> input = service::makeSpecInput(o.spec);
     TraceStats stats(*input, 32, /*track_footprint=*/true);
     MemAccess a;
     while (stats.next(a)) {

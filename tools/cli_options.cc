@@ -1,68 +1,23 @@
 #include "cli_options.hh"
 
+#include <limits>
 #include <sstream>
+
+#include "util/env.hh"
 
 namespace sbsim {
 namespace cli {
 
 namespace {
 
-bool
-parseU32(const std::string &s, std::uint32_t &out)
+/** A sweep worker count or stream count: a decimal of 32 bits. */
+std::optional<std::uint32_t>
+parseCount(const std::string &s)
 {
-    try {
-        std::size_t pos = 0;
-        unsigned long v = std::stoul(s, &pos);
-        if (pos != s.size() || v > 0xffffffffUL)
-            return false;
-        out = static_cast<std::uint32_t>(v);
-        return true;
-    } catch (...) {
-        return false;
-    }
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    try {
-        std::size_t pos = 0;
-        unsigned long long v = std::stoull(s, &pos);
-        if (pos != s.size())
-            return false;
-        out = v;
-        return true;
-    } catch (...) {
-        return false;
-    }
-}
-
-bool
-parseScale(const std::string &s, ScaleLevel &out)
-{
-    if (s == "small") {
-        out = ScaleLevel::SMALL;
-    } else if (s == "default") {
-        out = ScaleLevel::DEFAULT;
-    } else if (s == "large") {
-        out = ScaleLevel::LARGE;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-bool
-parseBool(const std::string &s, bool &out)
-{
-    if (s == "1" || s == "true" || s == "yes" || s == "on") {
-        out = true;
-    } else if (s == "0" || s == "false" || s == "no" || s == "off") {
-        out = false;
-    } else {
-        return false;
-    }
-    return true;
+    std::optional<std::uint64_t> v = parseUnsignedStrict(s);
+    if (!v || *v > std::numeric_limits<std::uint32_t>::max())
+        return std::nullopt;
+    return static_cast<std::uint32_t>(*v);
 }
 
 bool
@@ -72,15 +27,38 @@ parseList(const std::string &s, std::vector<std::uint32_t> &out)
     std::stringstream in(s);
     std::string item;
     while (std::getline(in, item, ',')) {
-        std::uint32_t v = 0;
-        if (item.empty() || !parseU32(item, v) || v == 0)
+        std::optional<std::uint32_t> v = parseCount(item);
+        if (!v || *v == 0)
             return false;
-        out.push_back(v);
+        out.push_back(*v);
     }
     return !out.empty();
 }
 
+/** The spec field flag @p arg sets, or nullptr. */
+const service::SpecField *
+specFieldOfFlag(const std::string &arg)
+{
+    for (const service::SpecField &field : service::specFields()) {
+        if (arg == specFlag(field) ||
+            (!field.alias.empty() && arg == field.alias))
+            return &field;
+    }
+    return nullptr;
+}
+
 } // namespace
+
+std::string
+specFlag(const service::SpecField &field)
+{
+    std::string flag = "--" + std::string(field.key);
+    for (char &c : flag) {
+        if (c == '_')
+            c = '-';
+    }
+    return flag;
+}
 
 ParseResult
 parseArgs(const std::vector<std::string> &args)
@@ -123,111 +101,16 @@ parseArgs(const std::vector<std::string> &args)
 
     for (std::size_t i = 1; i < args.size(); ++i) {
         const std::string &a = args[i];
-        if (a == "--benchmark" || a == "-b") {
-            if (!need_value(i, a))
-                return result;
-            o.benchmark = args[++i];
-        } else if (a == "--trace") {
-            if (!need_value(i, a))
-                return result;
-            o.traceFile = args[++i];
-        } else if (a == "--scale") {
-            if (!need_value(i, a))
-                return result;
-            if (!parseScale(args[++i], o.scale)) {
-                result.error = "bad --scale (small|default|large)";
-                return result;
+        if (const service::SpecField *field = specFieldOfFlag(a)) {
+            std::string text = "true";
+            if (field->arg != service::SpecArg::SWITCH) {
+                if (!need_value(i, a))
+                    return result;
+                text = args[++i];
             }
-        } else if (a == "--refs") {
-            if (!need_value(i, a))
-                return result;
-            if (!parseU64(args[++i], o.refs) || o.refs == 0) {
-                result.error = "bad --refs value";
-                return result;
-            }
-        } else if (a == "--sample") {
-            o.timeSample = true;
-        } else if (a == "--streams") {
-            if (!need_value(i, a))
-                return result;
-            if (!parseU32(args[++i], o.streams) || o.streams == 0) {
-                result.error = "bad --streams value";
-                return result;
-            }
-        } else if (a == "--depth") {
-            if (!need_value(i, a))
-                return result;
-            if (!parseU32(args[++i], o.depth) || o.depth == 0) {
-                result.error = "bad --depth value";
-                return result;
-            }
-        } else if (a == "--filter") {
-            o.unitFilter = true;
-        } else if (a == "--czone") {
-            if (!need_value(i, a))
-                return result;
-            std::uint32_t bits = 0;
-            if (!parseU32(args[++i], bits) || bits == 0 || bits >= 64) {
-                result.error = "bad --czone bits";
-                return result;
-            }
-            o.czoneBits = bits;
-        } else if (a == "--min-delta") {
-            o.minDelta = true;
-        } else if (a == "--partitioned") {
-            o.partitioned = true;
-        } else if (a == "--victim") {
-            if (!need_value(i, a))
-                return result;
-            if (!parseU32(args[++i], o.victimEntries)) {
-                result.error = "bad --victim value";
-                return result;
-            }
-        } else if (a == "--no-streams") {
-            o.noStreams = true;
-        } else if (a == "--shuffled-pages") {
-            o.shuffledPages = true;
-        } else if (a == "--page-bits") {
-            if (!need_value(i, a))
-                return result;
-            if (!parseU32(args[++i], o.pageBits) || o.pageBits < 6 ||
-                o.pageBits >= 32) {
-                result.error = "bad --page-bits value";
-                return result;
-            }
-        } else if (a == "--l2") {
-            if (!need_value(i, a))
-                return result;
-            if (!parseU32(args[++i], o.l2KiloBytes) ||
-                o.l2KiloBytes == 0 || !isPowerOf2(o.l2KiloBytes)) {
-                result.error = "bad --l2 size (KB, power of two)";
-                return result;
-            }
-        } else if (a == "--l2-model") {
-            if (!need_value(i, a))
-                return result;
-            std::optional<L2ModelKind> kind = parseL2Model(args[++i]);
-            if (!kind) {
-                result.error =
-                    "bad --l2-model (simulated|analytic|both)";
-                return result;
-            }
-            o.l2Model = *kind;
-        } else if (a == "--fidelity") {
-            if (!need_value(i, a))
-                return result;
-            std::optional<Fidelity> fidelity =
-                parseFidelity(args[++i]);
-            if (!fidelity) {
-                result.error = "bad --fidelity (exact|sampled)";
-                return result;
-            }
-            o.fidelity = *fidelity;
-        } else if (a == "--bus") {
-            if (!need_value(i, a))
-                return result;
-            if (!parseU32(args[++i], o.busCycles)) {
-                result.error = "bad --bus value";
+            std::string err = field->set(o.spec, text);
+            if (!err.empty()) {
+                result.error = "bad " + a + " value: " + err;
                 return result;
             }
         } else if (a == "--out" || a == "-o") {
@@ -255,12 +138,11 @@ parseArgs(const std::vector<std::string> &args)
         } else if (a == "--trace-cache") {
             if (!need_value(i, a))
                 return result;
-            bool on = true;
-            if (!parseBool(args[++i], on)) {
+            o.traceCache = parseBoolStrict(args[++i]);
+            if (!o.traceCache) {
                 result.error = "bad --trace-cache value (on|off)";
                 return result;
             }
-            o.traceCache = on;
         } else if (a == "--values") {
             if (!need_value(i, a))
                 return result;
@@ -271,67 +153,49 @@ parseArgs(const std::vector<std::string> &args)
         } else if (a == "--jobs" || a == "-j") {
             if (!need_value(i, a))
                 return result;
-            if (!parseU32(args[++i], o.jobs)) {
+            std::optional<std::uint32_t> jobs = parseCount(args[++i]);
+            if (!jobs) {
                 result.error = "bad --jobs value";
                 return result;
             }
+            o.jobs = *jobs;
         } else {
             result.error = "unknown option: " + a;
             return result;
         }
     }
 
-    // Cross-option validation.
-    if (o.czoneBits && o.minDelta) {
-        result.error = "--czone and --min-delta are mutually exclusive";
-        return result;
-    }
-    if ((o.czoneBits || o.minDelta) && !o.unitFilter) {
-        result.error =
-            "stride detection requires --filter (the non-unit filter "
-            "sits behind the unit-stride filter)";
-        return result;
-    }
-    if (o.command == Command::RUN || o.command == Command::SWEEP ||
-        o.command == Command::CAPTURE || o.command == Command::ANALYZE) {
-        if (o.benchmark.empty() && o.traceFile.empty()) {
-            result.error = "need --benchmark or --trace";
-            return result;
-        }
-        if (!o.benchmark.empty() && !o.traceFile.empty()) {
-            result.error = "--benchmark and --trace are exclusive";
-            return result;
-        }
-        if (!o.benchmark.empty() && !hasBenchmark(o.benchmark)) {
-            result.error = "unknown benchmark: " + o.benchmark;
+    // The spec's own rules: the CLI accepts exactly what the daemon
+    // accepts. list reads no spec.
+    if (o.command != Command::LIST) {
+        std::string err = service::validateSpec(o.spec);
+        if (err.empty() && o.command == Command::SWEEP)
+            err = service::validateSweepValues(o.sweepValues);
+        if (!err.empty()) {
+            result.error = err;
             return result;
         }
     }
+
+    // The command's rules.
+    const bool simulates =
+        o.command == Command::RUN || o.command == Command::SWEEP;
     if (o.command == Command::CAPTURE && o.outFile.empty()) {
         result.error = "capture needs --out FILE";
         return result;
     }
-    if (o.command != Command::RUN && o.command != Command::SWEEP &&
-        (!o.jsonOut.empty() || !o.csvOut.empty() ||
-         !o.eventsOut.empty())) {
+    if (!simulates && (!o.jsonOut.empty() || !o.csvOut.empty() ||
+                       !o.eventsOut.empty())) {
         result.error =
             "--json-out/--csv-out/--events apply to run and sweep only";
         return result;
     }
-    if (o.l2Model) {
-        if (o.command != Command::RUN && o.command != Command::SWEEP) {
-            result.error = "--l2-model applies to run and sweep only";
-            return result;
-        }
-        if (*o.l2Model != L2ModelKind::SIMULATED &&
-            o.l2KiloBytes == 0) {
-            result.error = "--l2-model analytic|both needs --l2 KB "
-                           "(the model predicts that cache)";
-            return result;
-        }
+    if (!simulates && o.spec.l2Model) {
+        result.error = "--l2-model applies to run and sweep only";
+        return result;
     }
-    if (o.fidelity == Fidelity::SAMPLED) {
-        if (o.command != Command::RUN && o.command != Command::SWEEP) {
+    if (o.spec.fidelity == Fidelity::SAMPLED) {
+        if (!simulates) {
             result.error =
                 "--fidelity sampled applies to run and sweep only";
             return result;
@@ -346,58 +210,8 @@ parseArgs(const std::vector<std::string> &args)
                            "dump with --stats";
             return result;
         }
-        if (o.l2Model && *o.l2Model != L2ModelKind::SIMULATED) {
-            result.error =
-                "--fidelity sampled supports only --l2-model simulated "
-                "(the analytic profile needs the full miss stream)";
-            return result;
-        }
-    }
-    if (o.command == Command::RUN || o.command == Command::SWEEP ||
-        o.command == Command::CAPTURE || o.command == Command::ANALYZE) {
-        // The execution core's own rules, field bounds included, so
-        // the CLI accepts exactly what the daemon accepts.
-        std::string err = service::validateSpec(toRunSpec(o));
-        if (err.empty() && o.command == Command::SWEEP)
-            err = service::validateSweepValues(o.sweepValues);
-        if (!err.empty()) {
-            result.error = err;
-            return result;
-        }
     }
     return result;
-}
-
-service::RunSpec
-toRunSpec(const Options &o)
-{
-    service::RunSpec spec;
-    spec.benchmark = o.benchmark;
-    spec.traceFile = o.traceFile;
-    spec.scale = o.scale;
-    spec.refs = o.refs;
-    spec.timeSample = o.timeSample;
-    spec.streams = o.streams;
-    spec.depth = o.depth;
-    spec.unitFilter = o.unitFilter;
-    spec.czoneBits = o.czoneBits;
-    spec.minDelta = o.minDelta;
-    spec.partitioned = o.partitioned;
-    spec.victimEntries = o.victimEntries;
-    spec.noStreams = o.noStreams;
-    spec.shuffledPages = o.shuffledPages;
-    spec.pageBits = o.pageBits;
-    spec.l2KiloBytes = o.l2KiloBytes;
-    spec.busCycles = o.busCycles;
-    spec.l2Model = o.l2Model;
-    spec.fidelity = o.fidelity;
-    return spec;
-}
-
-MemorySystemConfig
-toSystemConfig(const Options &o)
-{
-    return service::specSystemConfig(toRunSpec(o));
 }
 
 std::string
@@ -433,12 +247,13 @@ system:
   --no-streams               primary cache + memory only
   --shuffled-pages           scattered physical page mapping
   --page-bits N              log2 page size (default 12 = 4 KB)
-  --l2 KB                    add a unified secondary cache of KB kilobytes
+  --l2 KB                    unified secondary cache of KB kilobytes
+                             (0 = none, the default)
   --l2-model M               L2 evaluation backend (run and sweep):
                              simulated (default), analytic = one-pass
                              reuse-distance prediction, both = run the
-                             two and report the absolute error (also
-                             SBSIM_L2_MODEL; analytic/both need --l2)
+                             two and report the absolute error
+                             (analytic/both need --l2)
   --bus N                    bus occupancy per block in cycles (0 = infinite)
   --fidelity exact|sampled   run fidelity (run and sweep): exact
                              simulates every reference (default);

@@ -1,7 +1,10 @@
 /**
  * @file
  * Command-line option parsing for the streamsim CLI. Kept separate
- * from main() so the parser is unit-testable.
+ * from main() so the parser is unit-testable. The spec's flags are
+ * read through service::specFields() and checked by
+ * service::validateSpec(), exactly as sbsim-serve reads a request's
+ * "spec"; this file adds only the CLI's own flags and command rules.
  */
 
 #ifndef STREAMSIM_TOOLS_CLI_OPTIONS_HH
@@ -13,10 +16,6 @@
 #include <vector>
 
 #include "service/run_spec.hh"
-#include "sim/analytic_l2.hh"
-#include "sim/experiment.hh"
-#include "sim/sampled_run.hh"
-#include "workloads/benchmark.hh"
 
 namespace sbsim {
 namespace cli {
@@ -37,34 +36,9 @@ struct Options
 {
     Command command = Command::HELP;
 
-    // Input selection.
-    std::string benchmark;  ///< Registry name, or
-    std::string traceFile;  ///< a binary trace to replay.
-    ScaleLevel scale = ScaleLevel::DEFAULT;
-    std::uint64_t refs = 1500000;
-    bool timeSample = false; ///< 10% time sampling (10k/90k).
-
-    // System configuration.
-    std::uint32_t streams = 10;
-    std::uint32_t depth = 2;
-    bool unitFilter = false;
-    std::optional<unsigned> czoneBits; ///< Enables czone detection.
-    bool minDelta = false;
-    bool partitioned = false;
-    std::uint32_t victimEntries = 0;
-    bool noStreams = false;
-    bool shuffledPages = false;
-    std::uint32_t pageBits = 12;
-    std::uint32_t l2KiloBytes = 0; ///< 0 = no secondary cache.
-    std::uint32_t busCycles = 0;   ///< Bus cycles/block (0 = infinite).
-    /** L2 evaluation backend (--l2-model). Unset defers to
-     *  SBSIM_L2_MODEL (default simulated). analytic/both attach a
-     *  one-pass reuse-distance prediction to the run's metrics. */
-    std::optional<L2ModelKind> l2Model;
-    /** Run fidelity (--fidelity). sampled simulates only a phase
-     *  plan's representative intervals and reconstructs the metrics
-     *  with error bars (sim/sampled_run.hh). */
-    Fidelity fidelity = Fidelity::EXACT;
+    /** Input selection and system configuration: one flag per
+     *  service::specFields() entry. */
+    service::RunSpec spec;
 
     // Output.
     std::string outFile;   ///< capture target.
@@ -79,7 +53,9 @@ struct Options
     std::optional<bool> traceCache;
 
     // Sweep values (number of streams).
-    std::vector<std::uint32_t> sweepValues = {1, 2, 4, 6, 8, 10};
+    std::vector<std::uint32_t> sweepValues{
+        service::kDefaultSweepValues.begin(),
+        service::kDefaultSweepValues.end()};
     /** Sweep worker threads; 0 = auto (SBSIM_JOBS, else hardware
      *  concurrency). 1 runs serially; SBSIM_SERIAL=1 forces serial. */
     std::uint32_t jobs = 0;
@@ -97,16 +73,8 @@ struct ParseResult
 /** Parse argv (excluding argv[0]). */
 ParseResult parseArgs(const std::vector<std::string> &args);
 
-/**
- * Project the run-describing subset of an Options onto the shared
- * execution core's RunSpec (service/run_spec.hh). Presentation
- * options (tables, export paths, sweep grid) stay behind.
- */
-service::RunSpec toRunSpec(const Options &options);
-
-/** Build the MemorySystemConfig an Options describes (the spec
- *  projection run through specSystemConfig). */
-MemorySystemConfig toSystemConfig(const Options &options);
+/** The CLI flag of a spec field: "--" + its key, '_' written '-'. */
+std::string specFlag(const service::SpecField &field);
 
 /** The usage text. */
 std::string usage();

@@ -7,13 +7,15 @@
  */
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "service/server.hh"
 #include "trace/trace_cache.hh"
+#include "util/env.hh"
 
 namespace {
 
@@ -49,14 +51,6 @@ admitted work, refuses the rest, and flushes the trace-cache report.
     return out == stdout ? 0 : 2;
 }
 
-bool
-parseUnsigned(const char *s, unsigned long &out)
-{
-    char *end = nullptr;
-    out = std::strtoul(s, &end, 10);
-    return end != s && *end == '\0';
-}
-
 } // namespace
 
 int
@@ -74,7 +68,7 @@ main(int argc, char **argv)
             }
             return args[++i].c_str();
         };
-        unsigned long n = 0;
+        std::optional<std::uint64_t> n;
         if (a == "--help" || a == "-h") {
             return usage(stdout);
         } else if (a == "--socket") {
@@ -84,41 +78,41 @@ main(int argc, char **argv)
             config.socketPath = v;
         } else if (a == "--executors") {
             const char *v = value("--executors");
-            if (!v || !parseUnsigned(v, n) || n == 0 || n > 256) {
+            n = sbsim::parseUnsignedStrict(v ? v : "");
+            if (!n || *n == 0 || *n > 256) {
                 std::fprintf(stderr,
                              "sbsim-serve: bad --executors value\n");
                 return 2;
             }
-            config.executors = static_cast<unsigned>(n);
+            config.executors = static_cast<unsigned>(*n);
         } else if (a == "--sweep-jobs") {
             const char *v = value("--sweep-jobs");
-            if (!v || !parseUnsigned(v, n) || n > 1024) {
+            n = sbsim::parseUnsignedStrict(v ? v : "");
+            if (!n || *n > 1024) {
                 std::fprintf(stderr,
                              "sbsim-serve: bad --sweep-jobs value\n");
                 return 2;
             }
-            config.sweepJobs = static_cast<unsigned>(n);
+            config.sweepJobs = static_cast<unsigned>(*n);
         } else if (a == "--max-queue") {
             const char *v = value("--max-queue");
-            if (!v || !parseUnsigned(v, n) || n == 0) {
+            n = sbsim::parseUnsignedStrict(v ? v : "");
+            if (!n || *n == 0) {
                 std::fprintf(stderr,
                              "sbsim-serve: bad --max-queue value\n");
                 return 2;
             }
-            config.maxQueue = n;
+            config.maxQueue = *n;
         } else if (a == "--trace-cache") {
             const char *v = value("--trace-cache");
-            std::string s = v ? v : "";
-            if (s == "on" || s == "1" || s == "true") {
-                config.traceCache = true;
-            } else if (s == "off" || s == "0" || s == "false") {
-                config.traceCache = false;
-            } else {
+            std::optional<bool> on = sbsim::parseBoolStrict(v ? v : "");
+            if (!on) {
                 std::fprintf(
                     stderr,
                     "sbsim-serve: bad --trace-cache value (on|off)\n");
                 return 2;
             }
+            config.traceCache = *on;
         } else {
             std::fprintf(stderr, "sbsim-serve: unknown option: %s\n",
                          a.c_str());

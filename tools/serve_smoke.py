@@ -5,7 +5,9 @@ Starts a real server on a temporary Unix socket and proves the
 service contract end to end:
 
   1. liveness (ping) and strict request parsing (malformed JSON,
-     unknown ops/fields, invalid specs all yield structured errors);
+     unknown ops/fields, invalid specs all yield structured errors;
+     the CLI rejects each invalid spec as well, and the daemon's own
+     flags parse strictly);
   2. a daemon run is byte-identical to the CLI's --json-out document
      for the same spec;
   3. a daemon sweep matches the CLI's sweep document after
@@ -91,29 +93,34 @@ def normalize_sweep(doc_text):
     return doc
 
 
-def check_negative(sock_path):
+def check_negative(sock_path, cli):
     """Malformed requests must produce structured errors, never
-    connection death."""
+    connection death. A rejected spec carries the streamsim run flags
+    that spell it, and the CLI must reject those too: both front ends
+    read a spec through one grammar."""
     cases = [
-        b"this is not json\n",
-        b"{\"op\": \"run\"}\n",  # spec required
-        b"{\"op\": \"warp\"}\n",  # unknown op
-        b"{\"op\": \"run\", \"spec\": {\"benchmark\": \"nope\"}}\n",
-        b"{\"op\": \"run\", \"spec\": {\"benchmark\": \"embar\","
-        b" \"refs\": 0}}\n",
-        b"{\"op\": \"run\", \"spec\": {\"benchmark\": \"embar\","
-        b" \"bogus\": 1}}\n",
-        b"{\"op\": \"ping\", \"values\": [1]}\n",  # field/op mismatch
-        b"{\"op\": \"run\", \"spec\": {\"benchmark\": \"embar\","
-        b" \"refs\": -5}}\n",
-        b"{\"op\": \"run\", \"spec\": {\"benchmark\": \"embar\","
-        b" \"fidelity\": \"turbo\"}}\n",  # must be exact|sampled
+        (b"this is not json\n", None),
+        (b"{\"op\": \"run\"}\n", None),  # spec required
+        (b"{\"op\": \"warp\"}\n", None),  # unknown op
+        (b"{\"op\": \"run\", \"spec\": {\"benchmark\": \"nope\"}}\n",
+         ["-b", "nope"]),
+        (b"{\"op\": \"run\", \"spec\": {\"benchmark\": \"embar\","
+         b" \"refs\": 0}}\n", ["-b", "embar", "--refs", "0"]),
+        (b"{\"op\": \"run\", \"spec\": {\"benchmark\": \"embar\","
+         b" \"bogus\": 1}}\n", ["-b", "embar", "--bogus", "1"]),
+        (b"{\"op\": \"ping\", \"values\": [1]}\n",  # field/op mismatch
+         None),
+        (b"{\"op\": \"run\", \"spec\": {\"benchmark\": \"embar\","
+         b" \"refs\": -5}}\n", ["-b", "embar", "--refs", "-5"]),
+        (b"{\"op\": \"run\", \"spec\": {\"benchmark\": \"embar\","
+         b" \"fidelity\": \"turbo\"}}\n",  # must be exact|sampled
+         ["-b", "embar", "--fidelity", "turbo"]),
     ]
     s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     s.settimeout(30.0)
     s.connect(sock_path)
     buf = b""
-    for case in cases:
+    for case, _ in cases:
         s.sendall(case)
         while b"\n" not in buf:
             chunk = s.recv(65536)
@@ -135,6 +142,37 @@ def check_negative(sock_path):
     s.close()
     print("serve_smoke: negative parsing OK "
           "(%d structured rejections)" % len(cases))
+
+    flags = [args for _, args in cases if args]
+    for args in flags:
+        rc = subprocess.run([cli, "run"] + args,
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL,
+                            timeout=120).returncode
+        if rc == 0:
+            fail("the daemon rejects the spec of streamsim run %s, "
+                 "but the CLI ran it" % " ".join(args))
+    print("serve_smoke: the CLI rejects the same %d specs" % len(flags))
+
+
+def check_strict_flags(serve, tmp):
+    """sbsim-serve's own numbers parse strictly: a negative queue bound
+    is a usage error (exit 2) before anything binds, not a wrapped
+    huge bound."""
+    sock_path = os.path.join(tmp, "strict.sock")
+    try:
+        rc = subprocess.run([serve, "--socket", sock_path,
+                             "--max-queue", "-1"],
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL,
+                            timeout=30).returncode
+    except subprocess.TimeoutExpired:
+        fail("sbsim-serve --max-queue -1 started serving")
+    if rc != 2:
+        fail("sbsim-serve --max-queue -1 exited %d, not 2" % rc)
+    if os.path.exists(sock_path):
+        fail("sbsim-serve --max-queue -1 bound its socket")
+    print("serve_smoke: strict daemon flags OK")
 
 
 def main():
@@ -160,7 +198,8 @@ def main():
                 fail("ping did not pong")
         print("serve_smoke: ping OK")
 
-        check_negative(sock_path)
+        check_negative(sock_path, args.cli)
+        check_strict_flags(args.serve, tmp)
 
         # Differential: daemon run == CLI run, byte for byte.
         cli_run = cli_json(
