@@ -8,12 +8,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+
 #include "cache/cache.hh"
 #include "service/run_spec.hh"
 #include "sim/experiment.hh"
 #include "sim/l2_study.hh"
 #include "sim/memory_system.hh"
 #include "sim/sampled_run.hh"
+#include "sim/stream_stack.hh"
 #include "sim/sweep_runner.hh"
 #include "trace/materialized_trace.hh"
 #include "trace/phase_profile.hh"
@@ -245,11 +248,13 @@ BENCHMARK(BM_BuildSamplingPlan)->Unit(benchmark::kMillisecond);
  * The workload the trace-reuse layer targets: a sweep family — one
  * benchmark swept across stream counts behind a shared L1 front end.
  * Naive regenerates the workload and re-simulates the L1 per point;
- * Cached materialises the reference trace and records the post-L1
- * miss stream once, then replays it per point. Single worker, so the
- * ratio isolates the algorithmic saving from thread-pool scaling;
- * tools/bench_throughput.sh tracks the end-to-end counterpart under
- * the "sweeps" key of BENCH_throughput.json.
+ * Cached records the post-L1 miss stream once and runs one
+ * stream-stack pass over it for the family. At this length mgrid has
+ * duplicate stream heads at 4, 6, 8 and 10 streams, so those four
+ * points replay the recording whole and the pass answers 1 and 2.
+ * Single worker, so the ratio isolates the algorithmic saving from
+ * thread-pool scaling; tools/bench_throughput.sh records it as
+ * sweep_family_speedup in BENCH_throughput.json.
  */
 constexpr std::uint64_t kFamilyRefs = 200000;
 const std::uint32_t kFamilyStreams[] = {1, 2, 4, 6, 8, 10};
@@ -321,6 +326,39 @@ BM_ReplayMissTrace(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations() * trace.size()));
 }
 BENCHMARK(BM_ReplayMissTrace)->Unit(benchmark::kMillisecond);
+
+/**
+ * The stream-stack pass alone, which answers a Fig. 3 family in place
+ * of one replay per stream count: one recorded miss stream (is, 1.5M
+ * references, paper front end) through counts 1-10 in one pass. is
+ * has no duplicate stream heads, so no count diverges and the pass
+ * walks the whole trace. The recording is made once, outside the
+ * timed loop. Items are demand misses x counts.
+ */
+void
+BM_StreamStackFamily(benchmark::State &state)
+{
+    const MemorySystemConfig config = paperSystemConfig(10);
+    auto workload = findBenchmark("is").makeWorkload();
+    TruncatingSource limited(*workload, 1500000);
+    const MissTrace trace = recordMissTrace(limited, config);
+    std::vector<std::uint32_t> counts(10);
+    std::iota(counts.begin(), counts.end(), 1u);
+    std::uint64_t lookups = 0;
+    for (auto _ : state) {
+        std::map<std::uint32_t, RunOutput> out =
+            runStreamStack(trace, config, counts);
+        if (out.size() != counts.size()) {
+            state.SkipWithError("a stream count diverged");
+            break;
+        }
+        lookups = out.begin()->second.engineStats.lookups;
+        benchmark::DoNotOptimize(out);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * lookups * counts.size()));
+}
+BENCHMARK(BM_StreamStackFamily)->Unit(benchmark::kMillisecond);
 
 /**
  * The --fidelity gate pair: the paper's Figure 3 stream-count sweep

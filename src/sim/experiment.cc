@@ -1,5 +1,7 @@
 #include "experiment.hh"
 
+#include <utility>
+
 namespace sbsim {
 
 MemorySystemConfig
@@ -21,14 +23,20 @@ paperSystemConfig(std::uint32_t num_streams, AllocationPolicy allocation,
 }
 
 RunOutput
-collectOutput(MemorySystem &system)
+reportCounts(const RunCounts &counts, std::vector<double> length_shares)
 {
-    const RunCounts counts = system.finishCounts();
     RunOutput out;
     out.results = deriveResults(counts);
     out.engineStats = counts.engine;
-    out.lengthSharesPercent = system.lengthSharesPercent();
+    out.lengthSharesPercent = std::move(length_shares);
     return out;
+}
+
+RunOutput
+collectOutput(MemorySystem &system)
+{
+    const RunCounts counts = system.finishCounts();
+    return reportCounts(counts, system.lengthSharesPercent());
 }
 
 RunOutput

@@ -98,6 +98,14 @@ paperSystemConfig(std::uint32_t num_streams = 10,
                   unsigned czone_bits = 18);
 
 /**
+ * A run's RunOutput from its counts and its Table 3 length shares:
+ * every rate through deriveResults(). Full and replayed runs and the
+ * stream-stack pass all report through it.
+ */
+RunOutput reportCounts(const RunCounts &counts,
+                       std::vector<double> length_shares);
+
+/**
  * Finalize @p system and assemble its RunOutput (used by runOnce and
  * by callers that drive a MemorySystem directly, e.g. the CLI).
  */

@@ -430,13 +430,9 @@ MemorySystem::finishCounts()
 std::vector<double>
 MemorySystem::lengthSharesPercent() const
 {
-    std::vector<double> shares;
-    if (engine_) {
-        const BucketedDistribution &dist = engine_->lengthDistribution();
-        for (std::size_t i = 0; i < dist.size(); ++i)
-            shares.push_back(dist.sharePercent(i));
-    }
-    return shares;
+    if (!engine_)
+        return {};
+    return engine_->lengthDistribution().sharesPercent();
 }
 
 void

@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "sim/stream_stack.hh"
 #include "trace/materialized_trace.hh"
 #include "trace/reuse_profile.hh"
 #include "trace/time_sampler.hh"
@@ -87,12 +88,14 @@ enum class Kind
     MISS_TRACE,
     SAMPLING_PLAN,
     REUSE_PROFILE,
+    STREAM_STACK,
 };
 
 /**
  * One artifact the sweep's jobs read, keyed by (kind, key). It is
  * built from its input: a MissTrace or SamplingPlan from a RefTrace,
- * a ReuseProfile from a MissTrace, a RefTrace from the job's source.
+ * a ReuseProfile or StreamStack from a MissTrace, a RefTrace from the
+ * job's source.
  */
 struct Node
 {
@@ -117,6 +120,9 @@ struct Node
     std::shared_ptr<const MissTrace> miss = nullptr;
     std::shared_ptr<const SamplingPlan> sampling = nullptr;
     std::shared_ptr<const ReuseProfiler> profile = nullptr;
+    /** A StreamStack's output per stream count it answered; its
+     *  miss is its input's while some reader's count diverged. */
+    std::map<std::uint32_t, RunOutput> answered = {};
 };
 
 constexpr int kLevels = 3;
@@ -144,15 +150,18 @@ openInput(const std::shared_ptr<const MaterializedTrace> &trace,
  * The planner. Each job declares the artifacts it reads. A sampled
  * job reads its SamplingPlan (over its RefTrace) and an analytic job
  * its ReuseProfile, store on or off. With the store on, a keyed exact
- * job also runs from its MissTrace (a replay) or, failing that or
- * when it captures events, its RefTrace (a shared view); otherwise it
- * runs from its own source. Then, one node after everything reading
- * it:
+ * job also runs from its StreamStack (over its MissTrace) when its
+ * config is in streamStackDomain, else from its MissTrace (a replay)
+ * or, failing that or when it captures events, its RefTrace (a shared
+ * view); otherwise it runs from its own source. Then, one node after
+ * everything reading it:
  *  - SamplingPlans, ReuseProfiles and what they need are built;
  *  - any other node is built when two or more readers (jobs, or built
  *    nodes the store lacks) would otherwise each produce it, or when
- *    one would and the store already holds it;
- *  - an unbuilt MissTrace hands its replayers to its RefTrace.
+ *    one would and the store already holds it; a built StreamStack
+ *    needs its MissTrace;
+ *  - an unbuilt StreamStack hands its jobs to its MissTrace, and an
+ *    unbuilt MissTrace its replayers to its RefTrace.
  * A MissTrace is recorded from its RefTrace when that is built, else
  * from the generator. Nodes are shared within the sweep by key
  * whether or not the store is on; only with it on are they stored.
@@ -198,7 +207,19 @@ planSweep(const std::vector<SweepJob> &jobs, unsigned workers,
             keyed ? missTraceKey(job.sourceKey, job.config) : "", i, &ref);
         if (use_store && keyed) {
             // A replay cannot re-emit front-end events.
-            runs = job.eventTrace ? &ref : &miss;
+            if (job.eventTrace) {
+                runs = &ref;
+            } else if (streamStackDomain(job.config)) {
+                const StreamEngineConfig &s = job.config.streams;
+                runs = &declare(
+                    Kind::STREAM_STACK,
+                    miss.key + '\x1f' + "stack:" + std::to_string(s.depth) +
+                        '/' + std::to_string(job.config.memLatencyCycles) +
+                        '/' + std::to_string(job.config.streamHitCycles),
+                    i, &miss);
+            } else {
+                runs = &miss;
+            }
             runs->readers.push_back(i);
         }
         if (job.l2Model != L2ModelKind::SIMULATED) {
@@ -228,6 +249,8 @@ planSweep(const std::vector<SweepJob> &jobs, unsigned workers,
              (node.kind == Kind::MISS_TRACE &&
               store.peek<MissTrace>(node.key)));
         node.build = node.required || (stored && (readers >= 2 || resident));
+        if (node.build && node.kind == Kind::STREAM_STACK)
+            node.input->required = true;
         if (node.build && !resident && node.input)
             ++node.input->builders;
         if (!node.build && node.input) {
@@ -270,6 +293,19 @@ planSweep(const std::vector<SweepJob> &jobs, unsigned workers,
             std::unique_ptr<ReuseProfiler> profiler = makeL2Profiler(l2s);
             profileMissTraceInto(*profiler, *node.input->miss);
             node.profile = std::move(profiler);
+            break;
+          }
+          case Kind::STREAM_STACK: {
+            std::vector<std::uint32_t> counts;
+            for (std::size_t i : node.readers)
+                counts.push_back(jobs[i].config.streams.numStreams);
+            node.answered =
+                runStreamStack(*node.input->miss, job.config, counts);
+            // A diverged count replays the trace in the job phase.
+            for (std::uint32_t k : counts) {
+                if (!node.answered.contains(k))
+                    node.miss = node.input->miss;
+            }
             break;
           }
         }
@@ -423,6 +459,15 @@ SweepRunner::run(const std::vector<SweepJob> &jobs) const
             if (in && in->sampling) {
                 res.output =
                     runSampled(in->input->trace, *in->sampling, job.config);
+            } else if (in && in->kind == Kind::STREAM_STACK) {
+                auto it = in->answered.find(job.config.streams.numStreams);
+                if (it != in->answered.end()) {
+                    TraceCache::instance().noteStackJob();
+                    res.output = it->second;
+                } else {
+                    TraceCache::instance().noteReplay(true);
+                    res.output = replayOnce(*in->miss, job.config);
+                }
             } else if (in && in->miss) {
                 TraceCache::instance().noteReplay();
                 res.output = replayOnce(*in->miss, job.config);

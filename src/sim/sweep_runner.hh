@@ -33,12 +33,15 @@
  *   SBSIM_TRACE_CACHE=B  trace reuse across jobs (default on): jobs
  *                     sharing a source key read one materialised
  *                     trace, and jobs also sharing an L1 front end
- *                     replay one recorded miss stream. Bit-identical
+ *                     replay one recorded miss stream, or take their
+ *                     stream count's result from one stream-stack
+ *                     pass over it (sim/stream_stack.hh). Bit-identical
  *                     either way; see trace/trace_cache.hh.
  *
  * Before any job runs, one planner turns the grid into the artifacts
- * its jobs read — reference traces, miss traces, sampling plans and
- * reuse profiles — deduplicated by key and built one level at a time
+ * its jobs read — reference traces, miss traces, sampling plans, reuse
+ * profiles and stream-stack passes — deduplicated by key and built one
+ * level at a time
  * (see planSweep in sweep_runner.cc and docs/INTERNALS.md).
  */
 
@@ -90,7 +93,8 @@ struct SweepJob
      * The key names the job's artifacts for the runner's planner:
      * equal source keys share one MaterializedTrace, and equal
      * (source key, front-end key) pairs share one MissTrace and run as
-     * secondary-level replays. Empty opts the job out of all reuse:
+     * secondary-level replays or from one stream-stack pass over it.
+     * Empty opts the job out of all reuse:
      * whatever it needs is built for it alone.
      */
     std::string sourceKey;
@@ -186,10 +190,10 @@ class SweepRunner
     bool cacheReport() const { return cacheReport_; }
 
     /**
-     * Enable/disable trace reuse (Level 1 materialisation + Level 2
-     * miss-stream replay) for this runner. Defaults to
-     * SBSIM_TRACE_CACHE (on when unset). Purely a performance knob:
-     * results are bit-identical either way, which
+     * Enable/disable trace reuse (Level 1 materialisation, Level 2
+     * miss-stream replay, Level 3 stream-stack passes) for this
+     * runner. Defaults to SBSIM_TRACE_CACHE (on when unset). Purely a
+     * performance knob: results are bit-identical either way, which
      * tests/test_sweep_runner.cc pins differentially.
      */
     void setTraceCacheEnabled(bool on) { traceCache_ = on; }

@@ -1,6 +1,7 @@
 #include "prefetch_engine.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/logging.hh"
 
@@ -9,7 +10,8 @@ namespace sbsim {
 PrefetchEngine::PrefetchEngine(const StreamEngineConfig &config)
     : config_(config),
       mapper_(config.blockSize),
-      lengthDist_({5, 10, 15, 20}),
+      lengthDist_({std::begin(kStreamLengthBounds),
+                   std::end(kStreamLengthBounds)}),
       // Partitioned: the data bank gets the odd stream, the
       // instruction bank at least one.
       dataStreams_(config.partitioned ? (config.numStreams + 1) / 2

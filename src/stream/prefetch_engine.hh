@@ -53,6 +53,11 @@ enum class StrideDetection : std::uint8_t
     MIN_DELTA, ///< Alternative scheme of Section 7.
 };
 
+/** Inclusive upper bounds of the Table 3 stream-length buckets (1-5,
+ *  6-10, 11-15, 16-20, >20). The engine and the stream-stack pass
+ *  (sim/stream_stack.hh) both bucket flushed runs by them. */
+inline constexpr std::uint64_t kStreamLengthBounds[] = {5, 10, 15, 20};
+
 /** Static configuration of the prefetch engine. */
 struct StreamEngineConfig
 {

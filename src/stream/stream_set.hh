@@ -174,6 +174,18 @@ class StreamSet
     /** Consecutive hits @p stream serviced since its allocation. */
     std::uint32_t hitRun(std::uint32_t stream) const { return streams_[stream].hitRun; }
 
+    /** Set bits of a slot mask. std::popcount is a library call on
+     *  the baseline x86-64 target, and every allocation flushes a
+     *  stream: drain() here, once per stream count in the
+     *  stream-stack pass (sim/stream_stack.cc). */
+    static std::uint32_t
+    countSlots(std::uint32_t mask)
+    {
+        mask -= (mask >> 1) & 0x55555555u;
+        mask = (mask & 0x33333333u) + ((mask >> 2) & 0x33333333u);
+        return (((mask + (mask >> 4)) & 0x0f0f0f0fu) * 0x01010101u) >> 24;
+    }
+
   private:
     /** One FIFO entry: a prefetched block and when it was issued. */
     struct Entry
@@ -194,17 +206,6 @@ class StreamSet
     };
 
     static std::uint64_t bit(std::uint32_t s) { return std::uint64_t{1} << s; }
-
-    /** Set bits of a slot mask. std::popcount is a library call on
-     *  the baseline x86-64 target, and drain() runs on every
-     *  allocation. */
-    static std::uint32_t
-    countSlots(std::uint32_t mask)
-    {
-        mask -= (mask >> 1) & 0x55555555u;
-        mask = (mask & 0x33333333u) + ((mask >> 2) & 0x33333333u);
-        return (((mask + (mask >> 4)) & 0x0f0f0f0fu) * 0x01010101u) >> 24;
-    }
 
     Entry *fifo(std::uint32_t s) { return &entries_[s * kMaxDepth]; }
     const Entry *fifo(std::uint32_t s) const { return &entries_[s * kMaxDepth]; }

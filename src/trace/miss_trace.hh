@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "mem/types.hh"
@@ -151,7 +152,8 @@ class MissTrace
 
     bool empty() const { return chunks_.empty(); }
 
-    /** Visit every record in recording order, decoded. */
+    /** Visit every record in recording order, decoded. When @p fn
+     *  returns bool, false stops the walk. */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
@@ -179,7 +181,12 @@ class MissTrace
                     rec.dVictimHitCycles = p.dVictimHit;
                     rec.dSwPrefetchCycles = 0;
                 }
-                fn(decoded);
+                if constexpr (std::is_same_v<decltype(fn(decoded)), bool>) {
+                    if (!fn(decoded))
+                        return;
+                } else {
+                    fn(decoded);
+                }
             }
         }
     }

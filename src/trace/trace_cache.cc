@@ -112,10 +112,18 @@ TraceCache::peekEntry(ArtifactKind kind, const std::string &key) const
 }
 
 void
-TraceCache::noteReplay()
+TraceCache::noteReplay(bool diverged)
 {
     MutexLock lock(mutex_);
     ++counters_.replays;
+    counters_.stackDiverged += diverged;
+}
+
+void
+TraceCache::noteStackJob()
+{
+    MutexLock lock(mutex_);
+    ++counters_.stackJobs;
 }
 
 TraceCacheStats
@@ -147,7 +155,8 @@ printTraceCacheReport(const TraceCacheStats &stats, std::FILE *out)
         out,
         "sweep: trace cache: ref %llu hit / %llu built, miss "
         "%llu hit / %llu recorded, plan %llu hit / %llu built, "
-        "%llu replays, %llu bytes resident, %llu expired purged "
+        "%llu replays, %llu stack-answered, %llu stack-diverged, "
+        "%llu bytes resident, %llu expired purged "
         "(%llu+%llu+%llu keys live)\n",
         static_cast<unsigned long long>(stats.refTraceHits),
         static_cast<unsigned long long>(stats.refTracesMaterialized),
@@ -156,6 +165,8 @@ printTraceCacheReport(const TraceCacheStats &stats, std::FILE *out)
         static_cast<unsigned long long>(stats.phasePlanHits),
         static_cast<unsigned long long>(stats.phasePlansBuilt),
         static_cast<unsigned long long>(stats.replays),
+        static_cast<unsigned long long>(stats.stackJobs),
+        static_cast<unsigned long long>(stats.stackDiverged),
         static_cast<unsigned long long>(stats.residentBytes),
         static_cast<unsigned long long>(stats.expiredPurged),
         static_cast<unsigned long long>(stats.refTraceEntries),
@@ -173,6 +184,8 @@ writeTraceCacheJson(const TraceCacheStats &stats, std::ostream &os)
        << ",\"phase_plan_hits\":" << stats.phasePlanHits
        << ",\"phase_plans_built\":" << stats.phasePlansBuilt
        << ",\"replays\":" << stats.replays
+       << ",\"stack_jobs\":" << stats.stackJobs
+       << ",\"stack_diverged\":" << stats.stackDiverged
        << ",\"resident_bytes\":" << stats.residentBytes
        << ",\"expired_purged\":" << stats.expiredPurged
        << ",\"ref_trace_entries\":" << stats.refTraceEntries

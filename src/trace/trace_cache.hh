@@ -71,8 +71,14 @@ struct TraceCacheStats
     std::uint64_t refTracesMaterialized = 0;
     std::uint64_t missTraceHits = 0;
     std::uint64_t missTracesRecorded = 0;
-    /** Jobs served by miss-stream replay instead of a full run. */
+    /** Jobs served by miss-stream replay instead of a full run,
+     *  stack-family jobs whose stream count diverged included. */
     std::uint64_t replays = 0;
+    /** Jobs a stream-stack pass answered (sim/stream_stack.hh). */
+    std::uint64_t stackJobs = 0;
+    /** Stream-stack family jobs replayed because their stream count
+     *  diverged; counted in replays too. */
+    std::uint64_t stackDiverged = 0;
     /** Bytes of live (strongly referenced) stored artifacts now. */
     std::uint64_t residentBytes = 0;
     /** Expired weak entries erased from the map (lifetime). */
@@ -184,8 +190,12 @@ class TraceCache
         });
     }
 
-    /** Count one job served by miss-stream replay. */
-    void noteReplay() SBSIM_EXCLUDES(mutex_);
+    /** Count one job served by miss-stream replay; @p diverged: a
+     *  stream-stack family job whose stream count diverged. */
+    void noteReplay(bool diverged = false) SBSIM_EXCLUDES(mutex_);
+
+    /** Count one job a stream-stack pass answered. */
+    void noteStackJob() SBSIM_EXCLUDES(mutex_);
 
     /**
      * Snapshot the counters plus current resident bytes and entry

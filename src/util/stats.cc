@@ -38,6 +38,15 @@ BucketedDistribution::sharePercent(std::size_t i) const
     return percent(counts_.at(i), total_);
 }
 
+std::vector<double>
+BucketedDistribution::sharesPercent() const
+{
+    std::vector<double> shares;
+    for (std::size_t i = 0; i < counts_.size(); ++i)
+        shares.push_back(sharePercent(i));
+    return shares;
+}
+
 std::string
 BucketedDistribution::bucketLabel(std::size_t i) const
 {

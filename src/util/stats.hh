@@ -86,6 +86,9 @@ class BucketedDistribution
     /** Bucket share of the total weight, in percent. */
     double sharePercent(std::size_t i) const;
 
+    /** sharePercent() of every bucket, in bucket order. */
+    std::vector<double> sharesPercent() const;
+
     /** Total recorded weight. */
     std::uint64_t total() const { return total_; }
 

@@ -250,7 +250,7 @@ TEST(ServiceProtocol, ResponseBuilders)
     for (std::uint64_t *field :
          {&all.refTraceHits, &all.refTracesMaterialized,
           &all.missTraceHits, &all.missTracesRecorded, &all.replays,
-          &all.residentBytes, &all.expiredPurged, &all.refTraceEntries,
+          &all.stackJobs, &all.stackDiverged, &all.residentBytes, &all.expiredPurged, &all.refTraceEntries,
           &all.missTraceEntries, &all.phasePlanHits, &all.phasePlansBuilt,
           &all.phasePlanEntries})
         *field = value++;
@@ -264,7 +264,7 @@ TEST(ServiceProtocol, ResponseBuilders)
     writeSweepJson({}, sweep, &all);
     const std::string from_stats = object(statsResponse("7", all));
     EXPECT_EQ(from_stats, object(sweep.str()));
-    EXPECT_NE(from_stats.find("\"phase_plan_entries\":12}"),
+    EXPECT_NE(from_stats.find("\"phase_plan_entries\":14}"),
               std::string::npos)
         << from_stats;
 }

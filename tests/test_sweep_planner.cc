@@ -14,8 +14,9 @@
  *    for exact, analytic and sampled specs, cache on and off;
  *  - a mixed grid, one job of every kind the planner groups, must
  *    export the same documents as each job run alone in a one-job
- *    sweep with the cache off, and must build no more artifacts than
- *    the grid needs.
+ *    sweep with the cache off, must build no more artifacts than the
+ *    grid needs, and must serve each job by the path its kind routes
+ *    it to: a stream-stack pass, a replay or a run.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "service/run_spec.hh"
@@ -148,24 +150,65 @@ INSTANTIATE_TEST_SUITE_P(
                (std::get<1>(info.param) ? "_cache_on" : "_cache_off");
     });
 
-// One grid holding every grouping the planner makes: a replay family,
-// a singleton, an event-traced job on the family's source, a sampled
-// pair on one key, keyless sampled and analytic jobs, and an analytic
-// family whose members profile at two L2 block sizes.
+// One grid holding every grouping the planner makes: a stream-stack
+// family, a diverging one (mgrid's 6-stream point has duplicate heads
+// at this length), a singleton in the stack's domain, one job per way
+// out of that domain on the first family's front end, an event-traced
+// job on the diverging family's source, a sampled pair on one key,
+// keyless sampled and analytic jobs, and an analytic family whose
+// members profile at two L2 block sizes.
 TEST(SweepPlanner, MixedGridMatchesOneJobSweepsAndBuildsNoMore)
 {
     constexpr std::uint64_t kRefs = 120000;
-    std::vector<EventTrace> events(2);
-    auto grid = [&](EventTrace *trace) {
+    std::vector<EventTrace> events(4);
+    auto grid = [&](EventTrace *trace, EventTrace *exit_trace) {
         std::vector<SweepJob> jobs;
+        for (std::uint32_t streams : {2u, 6u}) {
+            jobs.push_back(benchmarkJob("trfd", ScaleLevel::DEFAULT,
+                                        paperSystemConfig(streams),
+                                        "stack-family", kRefs));
+        }
         for (std::uint32_t streams : {2u, 6u}) {
             jobs.push_back(benchmarkJob("mgrid", ScaleLevel::DEFAULT,
                                         paperSystemConfig(streams),
-                                        "family", kRefs));
+                                        "diverging-family", kRefs));
         }
         jobs.push_back(benchmarkJob("is", ScaleLevel::DEFAULT,
                                     paperSystemConfig(4), "singleton",
                                     kRefs));
+        const std::vector<
+            std::pair<const char *, std::function<void(SweepJob &)>>>
+            exits = {
+                {"unit-filter",
+                 [](SweepJob &j) {
+                     j.config.streams.allocation =
+                         AllocationPolicy::UNIT_FILTER;
+                 }},
+                {"fifo",
+                 [](SweepJob &j) {
+                     j.config.streams.replacement = StreamReplacement::FIFO;
+                 }},
+                {"associative",
+                 [](SweepJob &j) {
+                     j.config.streams.associativeLookup = true;
+                 }},
+                {"partitioned",
+                 [](SweepJob &j) { j.config.streams.partitioned = true; }},
+                {"l2",
+                 [](SweepJob &j) {
+                     j.config.useL2 = true;
+                     j.config.l2.sizeBytes = 256 * 1024;
+                 }},
+                {"bus", [](SweepJob &j) { j.config.busCyclesPerBlock = 4; }},
+                {"event-trace",
+                 [exit_trace](SweepJob &j) { j.eventTrace = exit_trace; }},
+            };
+        for (const auto &[name, apply] : exits) {
+            jobs.push_back(benchmarkJob("trfd", ScaleLevel::DEFAULT,
+                                        paperSystemConfig(4),
+                                        std::string("exit-") + name, kRefs));
+            apply(jobs.back());
+        }
         jobs.push_back(benchmarkJob("mgrid", ScaleLevel::DEFAULT,
                                     paperSystemConfig(4), "event-traced",
                                     kRefs));
@@ -200,7 +243,7 @@ TEST(SweepPlanner, MixedGridMatchesOneJobSweepsAndBuildsNoMore)
     };
 
     // References: each job alone, cache off, nothing shared.
-    std::vector<SweepJob> solo = grid(&events[0]);
+    std::vector<SweepJob> solo = grid(&events[0], &events[2]);
     std::vector<std::string> want;
     SweepRunner alone(1);
     alone.setCacheReport(false);
@@ -214,22 +257,33 @@ TEST(SweepPlanner, MixedGridMatchesOneJobSweepsAndBuildsNoMore)
         SweepRunner runner(2);
         runner.setCacheReport(false);
         runner.setTraceCacheEnabled(cache);
-        std::vector<SweepResult> got = runner.run(grid(&events[1]));
+        std::vector<SweepResult> got =
+            runner.run(grid(&events[1], &events[3]));
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t i = 0; i < got.size(); ++i)
             EXPECT_EQ(document(got[i].output), want[i])
                 << i << ": " << got[i].label;
         EXPECT_EQ(jsonl(events[1]), jsonl(events[0]));
+        EXPECT_EQ(jsonl(events[3]), jsonl(events[2]));
         events[1].clear();
+        events[3].clear();
 
-        // What the grid needs stored, at most: the mgrid trace (read by
-        // the event-traced job and the family's recording) and the
-        // fftpde trace under the sampled pair; the mgrid and cgm
-        // recordings; one sampling plan. Keyless jobs store nothing.
+        // What the grid needs stored, at most: the mgrid and trfd
+        // traces (each read by an event-traced job and its family's
+        // recording) and the fftpde trace under the sampled pair; the
+        // mgrid, trfd and cgm recordings; one sampling plan. Keyless
+        // jobs store nothing.
         TraceCacheStats stats = TraceCache::instance().stats();
-        EXPECT_LE(stats.refTracesMaterialized, cache ? 2u : 0u);
-        EXPECT_LE(stats.missTracesRecorded, cache ? 2u : 0u);
+        EXPECT_LE(stats.refTracesMaterialized, cache ? 3u : 0u);
+        EXPECT_LE(stats.missTracesRecorded, cache ? 3u : 0u);
         EXPECT_LE(stats.phasePlansBuilt, cache ? 1u : 0u);
+        // The stack answers the trfd family and mgrid's 2 streams;
+        // mgrid's 6 diverges and replays, as do the six domain exits
+        // that read the trfd recording and the two analytic cgm jobs.
+        // The singleton and the event-traced jobs run from sources.
+        EXPECT_EQ(stats.stackJobs, cache ? 3u : 0u);
+        EXPECT_EQ(stats.stackDiverged, cache ? 1u : 0u);
+        EXPECT_EQ(stats.replays, cache ? 9u : 0u);
         TraceCache::instance().clear();
     }
 }

@@ -50,7 +50,7 @@ trap 'rm -f "$raw_json"' EXIT
 # the fidelity gate would compare cold sampled runs against warm
 # exact ones.
 "$bench_bin" \
-    --benchmark_filter='BM_MemorySystem|BM_RunBenchmark|BM_FullSystemRun|BM_SweepFamily|BM_SweepFidelity|BM_MaterializeTrace|BM_BuildSamplingPlan|BM_ReplayMissTrace|BM_StreamEngineReplay' \
+    --benchmark_filter='BM_MemorySystem|BM_RunBenchmark|BM_FullSystemRun|BM_SweepFamily|BM_SweepFidelity|BM_MaterializeTrace|BM_BuildSamplingPlan|BM_ReplayMissTrace|BM_StreamEngineReplay|BM_StreamStackFamily' \
     --benchmark_min_time="$min_time" \
     --benchmark_min_warmup_time=0.5 \
     --benchmark_repetitions="$repetitions" \
@@ -155,9 +155,10 @@ for b in raw.get("benchmarks", []):
         current[name] = entry
 
 # The sweep-family pair measures the trace-reuse layer end to end:
-# naive runs six stream-depth points through the full front end,
-# cached records the post-L1 stream once (from a cold cache) and
-# replays it five times.
+# naive runs six stream-count points through the full front end,
+# cached records the post-L1 stream once (from a cold cache), answers
+# two points from one stream-stack pass and replays the four that
+# diverge.
 naive = current.get("BM_SweepFamilyNaive")
 cached = current.get("BM_SweepFamilyCached")
 if naive and cached and cached["real_time_ns"]:

@@ -314,7 +314,8 @@ def main():
 
         # Each sweep is one replay family: it either records the
         # family's miss trace or finds it shared by a concurrent or
-        # earlier sweep, and replays it once per value.
+        # earlier sweep, and serves each value from it once, by a
+        # stream-stack pass or by a replay.
         with ServiceClient(sock_path) as client:
             stats = client.request({"op": "stats"})["trace_cache"]
 
@@ -327,17 +328,22 @@ def main():
                  "traces, not one each: %r -> %r"
                  % (args.clients, families, before, stats))
         replays = grew("replays")
-        if replays != args.clients * len(VALUES):
-            fail("%d concurrent sweeps of %d values replayed %d times: "
-                 "%r -> %r" % (args.clients, len(VALUES), replays,
-                               before, stats))
+        stack_jobs = grew("stack_jobs")
+        if replays + stack_jobs != args.clients * len(VALUES):
+            fail("%d concurrent sweeps of %d values served %d jobs from "
+                 "their recordings: %r -> %r"
+                 % (args.clients, len(VALUES), replays + stack_jobs,
+                    before, stats))
+        if stack_jobs <= 0:
+            fail("no concurrent sweep job was answered by a stream-stack "
+                 "pass: %r -> %r" % (before, stats))
         if stats["expired_purged"] <= 0:
             fail("retired working sets were never purged: %r" % stats)
         print("serve_smoke: %d concurrent clients OK "
               "(miss traces recorded=%d, shared=%d, replays=%d, "
-              "expired_purged=%d)"
+              "stack_jobs=%d, expired_purged=%d)"
               % (args.clients, grew("miss_traces_recorded"),
-                 grew("miss_trace_hits"), replays,
+                 grew("miss_trace_hits"), replays, stack_jobs,
                  stats["expired_purged"]))
 
         # Graceful drain on SIGTERM.

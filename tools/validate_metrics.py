@@ -327,7 +327,8 @@ def zero_trace_cache():
     return {"ref_trace_hits": 0, "ref_traces_materialized": 0,
             "miss_trace_hits": 0, "miss_traces_recorded": 0,
             "phase_plan_hits": 0, "phase_plans_built": 0,
-            "replays": 0, "resident_bytes": 0, "expired_purged": 0,
+            "replays": 0, "stack_jobs": 0, "stack_diverged": 0,
+            "resident_bytes": 0, "expired_purged": 0,
             "ref_trace_entries": 0, "miss_trace_entries": 0,
             "phase_plan_entries": 0}
 
