@@ -208,7 +208,7 @@ BENCHMARK(BM_RunBenchmarkSampled)->Unit(benchmark::kMillisecond);
 /**
  * The two steps a sampled request pays before simulating anything,
  * at the daemon's request size: draining the input chain into a
- * trace (generation included, as materializeSpecInput does it) and
+ * trace (generation included, as a sampled run's planner does it) and
  * profiling that trace into a sampling plan. Items are references.
  */
 constexpr std::uint64_t kSampledInputRefs = 1500000;
@@ -297,6 +297,8 @@ BM_SweepFamilyCached(benchmark::State &state)
         std::vector<SweepJob> jobs = sweepFamilyJobs();
         SweepRunner runner(1);
         runner.setTraceCacheEnabled(true);
+        // No stderr report inside the timed loop.
+        runner.setCacheReport(false);
         std::vector<SweepResult> results = runner.run(jobs);
         benchmark::DoNotOptimize(results);
     }

@@ -15,21 +15,21 @@
  * through the SweepRunner, and the ten set-sampled L2 studies fan out
  * over the same worker budget via parallelFor.
  *
- * Both halves also share one front end per (benchmark, input) pair,
- * so with the trace cache on each workload is generated and pushed
- * through the L1 exactly once: the recorded miss trace, held resident
- * in the trace store, is replayed by the stream half (the sweep's
- * planner finds it under missTraceKey) and its DEMAND records feed
- * the candidate battery directly (replayMissesInto). SBSIM_TRACE_CACHE=0
- * restores the naive twice-through-everything path.
+ * Both halves also share one front end per (benchmark, input) pair:
+ * each pair's miss trace is recorded once and held resident in the
+ * trace store. Its DEMAND records feed the candidate battery directly
+ * (replayMissesInto), and with the trace cache on the stream half
+ * replays it (the sweep's planner finds it under missTraceKey), so
+ * each workload is generated and pushed through the L1 exactly once.
+ * With SBSIM_TRACE_CACHE=0 only the stream half runs its own sources;
+ * the table is the same either way.
  *
- * With the trace cache on, the one-pass analytic engine
- * (AnalyticCacheStudy) also prices the whole candidate grid from each
- * miss trace, timed against both simulated backends: the exact
- * (unsampled) battery it reproduces, and the 1/8 set-sampled battery
- * the table uses. The closing report gives both speedups and the
- * worst hit-rate deviation against each, over every (benchmark,
- * input, candidate) point.
+ * The one-pass analytic engine (AnalyticCacheStudy) also prices the
+ * whole candidate grid from each miss trace, timed against both
+ * simulated backends: the exact (unsampled) battery it reproduces,
+ * and the 1/8 set-sampled battery the table uses. The closing report
+ * gives both speedups and the worst hit-rate deviation against each,
+ * over every (benchmark, input, candidate) point.
  */
 
 #include <algorithm>
@@ -38,7 +38,6 @@
 
 #include "bench_common.hh"
 #include "sim/l2_study.hh"
-#include "trace/time_sampler.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
 
@@ -51,18 +50,6 @@ fullStreamConfig()
 {
     return paperSystemConfig(10, AllocationPolicy::UNIT_FILTER,
                              StrideDetection::CZONE, 18);
-}
-
-std::vector<L2Result>
-l2HitRates(const std::string &name, ScaleLevel level)
-{
-    const Benchmark &b = findBenchmark(name);
-    auto workload = b.makeWorkload(level);
-    TruncatingSource limited(*workload, bench::refLimit());
-    L2StudyDriver driver(SplitCacheConfig::paperDefault(),
-                         table4CandidateConfigs(), /*sample_log2=*/3);
-    driver.run(limited);
-    return driver.study().results();
 }
 
 struct PaperRow
@@ -112,7 +99,6 @@ main()
     }
 
     SweepRunner runner;
-    const bool cached = runner.traceCacheEnabled();
     double wall = 0;
     double l2_sim_wall = 0;
     double l2_exact_wall = 0;
@@ -123,71 +109,45 @@ main()
     std::vector<std::vector<L2Result>> l2_results(stream_jobs.size());
     std::vector<std::vector<L2Result>> exact_results(stream_jobs.size());
     std::vector<std::vector<L2Result>> ana_results(stream_jobs.size());
+    // One simulated battery over every recording's DEMAND records.
+    auto battery = [&](double &seconds, unsigned sample_log2,
+                       std::vector<std::vector<L2Result>> &results) {
+        ScopedTimer l2_timer(seconds);
+        parallelFor(stream_jobs.size(), runner.jobs(), [&](std::size_t i) {
+            SecondaryCacheStudy study(table4CandidateConfigs(),
+                                      sample_log2);
+            replayMissesInto(study, *misses[i]);
+            results[i] = study.results();
+        });
+    };
     {
         ScopedTimer timer(wall);
-        if (cached) {
-            // One recording per (benchmark, input), held here: the
-            // stream half replays it below (a resident miss trace
-            // serves even a one-job family) and the L2 half consumes
-            // its DEMAND records, so the cached path also guarantees
-            // both halves see exactly the same reference stream.
-            parallelFor(stream_jobs.size(), runner.jobs(),
-                        [&](std::size_t i) {
-                            const SweepJob &job = stream_jobs[i];
-                            misses[i] =
-                                TraceCache::instance().getOrRecord(
-                                    missTraceKey(job.sourceKey,
-                                                 job.config),
-                                    [&job] {
-                                        auto src = job.makeSource();
-                                        return recordMissTrace(
-                                            *src, job.config);
-                                    });
-                        });
-        }
+        // One recording per (benchmark, input), held here: the stream
+        // half replays it below when the trace cache is on (a resident
+        // miss trace serves even a one-job family) and every L2 backend
+        // consumes its DEMAND records, so both halves see exactly the
+        // same reference stream.
+        parallelFor(stream_jobs.size(), runner.jobs(), [&](std::size_t i) {
+            const SweepJob &job = stream_jobs[i];
+            misses[i] = TraceCache::instance().getOrRecord(
+                missTraceKey(job.sourceKey, job.config), [&job] {
+                    auto src = job.makeSource();
+                    return recordMissTrace(*src, job.config);
+                });
+        });
         stream_results = runner.run(stream_jobs);
-        {
-            ScopedTimer l2_timer(l2_sim_wall);
-            parallelFor(stream_jobs.size(), runner.jobs(),
-                        [&](std::size_t i) {
-                            if (cached) {
-                                SecondaryCacheStudy study(
-                                    table4CandidateConfigs(),
-                                    /*sample_log2=*/3);
-                                replayMissesInto(study, *misses[i]);
-                                l2_results[i] = study.results();
-                                return;
-                            }
-                            l2_results[i] = l2HitRates(
-                                names[i / levels.size()],
-                                levels[i % levels.size()]);
-                        });
-        }
-        if (cached) {
-            // Exact baseline: the unsampled battery the analytic
-            // engine reproduces (the differential tests' reference).
-            {
-                ScopedTimer l2_timer(l2_exact_wall);
-                parallelFor(stream_jobs.size(), runner.jobs(),
-                            [&](std::size_t i) {
-                                SecondaryCacheStudy study(
-                                    table4CandidateConfigs(),
-                                    /*sample_log2=*/0);
-                                replayMissesInto(study, *misses[i]);
-                                exact_results[i] = study.results();
-                            });
-            }
-            // Analytic half: same traces, same grid, one profiling
-            // pass each instead of 42 simulated caches.
-            ScopedTimer l2_timer(l2_ana_wall);
-            parallelFor(stream_jobs.size(), runner.jobs(),
-                        [&](std::size_t i) {
-                            AnalyticCacheStudy study(
-                                table4CandidateConfigs());
-                            profileMissesInto(study, *misses[i]);
-                            ana_results[i] = study.results();
-                        });
-        }
+        battery(l2_sim_wall, /*sample_log2=*/3, l2_results);
+        // Exact baseline: the unsampled battery the analytic engine
+        // reproduces (the differential tests' reference).
+        battery(l2_exact_wall, /*sample_log2=*/0, exact_results);
+        // Analytic half: same traces, same grid, one profiling pass
+        // each instead of 42 simulated caches.
+        ScopedTimer l2_timer(l2_ana_wall);
+        parallelFor(stream_jobs.size(), runner.jobs(), [&](std::size_t i) {
+            AnalyticCacheStudy study(table4CandidateConfigs());
+            profileMissesInto(study, *misses[i]);
+            ana_results[i] = study.results();
+        });
     }
 
     TablePrinter table({"name", "input", "stream_hit_%", "min_L2",
@@ -211,7 +171,7 @@ main()
     }
     table.print(std::cout);
 
-    if (cached) {
+    {
         double worst_exact = 0;
         double worst_sampled = 0;
         for (std::size_t i = 0; i < l2_results.size(); ++i) {

@@ -3,14 +3,10 @@
 #include <limits>
 #include <memory>
 
-#include "sim/memory_system.hh"
 #include "trace/file_trace.hh"
-#include "trace/materialized_trace.hh"
-#include "trace/reuse_profile.hh"
 #include "trace/time_sampler.hh"
 #include "util/bitutil.hh"
 #include "util/env.hh"
-#include "util/logging.hh"
 
 namespace sbsim {
 namespace service {
@@ -253,12 +249,6 @@ makeSpecInput(const RunSpec &spec)
     return chain;
 }
 
-std::shared_ptr<const MaterializedTrace>
-materializeSpecInput(const RunSpec &spec)
-{
-    return MaterializedTrace::fromSource(*makeSpecInput(spec));
-}
-
 std::string
 specSourceKey(const RunSpec &spec)
 {
@@ -281,67 +271,11 @@ executeRun(const RunSpec &spec, EventTrace *events,
            bool use_trace_cache,
            const std::function<void(MemorySystem &)> &inspect)
 {
-    const MemorySystemConfig config = specSystemConfig(spec);
-    const L2ModelKind l2_model = effectiveL2Model(spec);
-
-    if (spec.fidelity == Fidelity::SAMPLED) {
-        // Both front ends reject the incompatible combinations
-        // (events, --stats, analytic L2) before getting here.
-        SBSIM_ASSERT(!events,
-                     "sampled fidelity cannot capture an event trace");
-        SBSIM_ASSERT(l2_model == L2ModelKind::SIMULATED,
-                     "sampled fidelity requires the simulated l2 model");
-        // The same store entries a sweep of this spec reads.
-        const std::string key = specSourceKey(spec);
-        std::shared_ptr<const MaterializedTrace> trace =
-            obtainArtifact<MaterializedTrace>(
-                use_trace_cache, key,
-                [&spec] { return materializeSpecInput(spec); });
-        const PhaseProfileConfig profile_config;
-        std::shared_ptr<const SamplingPlan> plan =
-            obtainArtifact<SamplingPlan>(
-                use_trace_cache, samplingPlanKey(key, profile_config),
-                [&trace, &profile_config] {
-                    return std::make_shared<const SamplingPlan>(
-                        buildSamplingPlan(*trace, profile_config));
-                });
-        RunExecution exec;
-        exec.output = runSampled(trace, *plan, config);
-        exec.references = exec.output.results.references;
-        return exec;
-    }
-
-    MemorySystem system(config);
-    if (events)
-        system.attachEventTrace(events);
-    // The profiler taps the post-L1 demand stream alongside the full
-    // simulation (it is orthogonal to the configured secondary
-    // level), so one run yields both the simulated L2 and the
-    // analytic model's profile, with no miss trace stored between
-    // them.
-    std::unique_ptr<ReuseProfiler> profile;
-    if (l2_model != L2ModelKind::SIMULATED) {
-        profile = makeL2Profiler({config.l2});
-        system.attachReuseProfiler(profile.get());
-    }
-
-    std::unique_ptr<TraceSource> input =
-        use_trace_cache && !events
-            ? std::make_unique<SharedTraceView>(
-                  obtainArtifact<MaterializedTrace>(
-                      true, specSourceKey(spec),
-                      [&spec] { return materializeSpecInput(spec); }))
-            : makeSpecInput(spec);
+    SweepJob job = std::move(buildSweepJobs(spec, {spec.streams}).front());
+    job.eventTrace = events;
     RunExecution exec;
-    exec.references = system.run(*input);
-    exec.output = collectOutput(system);
-    exec.output.sampling.timeSampler =
-        input->samplerCounts().value_or(SamplerCounts{});
-
-    if (profile)
-        reportAnalyticL2(exec.output, *profile, l2_model, config);
-    if (inspect)
-        inspect(system);
+    exec.output = runJob(job, use_trace_cache, inspect);
+    exec.references = exec.output.results.references;
     return exec;
 }
 

@@ -144,15 +144,6 @@ MemorySystemConfig specSystemConfig(const RunSpec &spec);
 std::unique_ptr<TraceSource> makeSpecInput(const RunSpec &spec);
 
 /**
- * Drain the spec's input chain into an immutable shared trace (with
- * the chain's TimeSampler counts, as every drain records them). The
- * sampled-fidelity path materialises through this so phase profiling
- * and interval replay see one stable buffer.
- */
-std::shared_ptr<const MaterializedTrace>
-materializeSpecInput(const RunSpec &spec);
-
-/**
  * Dedup key of the spec's input stream, fed to the trace cache /
  * sweep planner. Only input-selection fields participate: every
  * system configuration over the same input shares one key (and hence
@@ -174,20 +165,26 @@ struct RunExecution
 };
 
 /**
- * Execute the spec: build its input, run the configured system, and
- * collect the output (including the analytic L2 report when the
- * effective model asks for one).
+ * Execute the spec: its one sweep job (buildSweepJobs at the spec's
+ * own stream count, with @p events attached) served by runJob, so a
+ * run takes exactly the path its point of a sweep takes. The output
+ * includes the analytic L2 report when the effective model asks for
+ * one.
  *
  * @param events Optional structural event capture (caller-owned).
- * @param use_trace_cache Route the input through the process-wide
- *        TraceCache (materialise once, replay a shared view). The
- *        daemon passes its cache flag here so concurrent requests
- *        over the same input coalesce; results are bit-identical
- *        either way. Ignored when @p events is set — a cached replay
- *        cannot re-emit source-construction events.
+ * @param use_trace_cache Plan the job over the process-wide
+ *        TraceCache. The daemon passes its cache flag here. An exact
+ *        run then replays its front end's recording when the store
+ *        holds one, else reads the spec's trace when the store holds
+ *        that, else streams its generator and stores nothing; a
+ *        sampled run builds its trace and sampling plan through the
+ *        store, so concurrent requests over the same input coalesce.
+ *        An event-traced run never replays (a replay cannot re-emit
+ *        front-end events). Results are bit-identical either way.
  * @param inspect Optional peek at the finished MemorySystem before
  *        it is torn down (the CLI's --stats dump); called after the
- *        output is collected.
+ *        output is collected. It needs the run's own front end, so
+ *        it requires @p use_trace_cache false (asserted).
  */
 RunExecution
 executeRun(const RunSpec &spec, EventTrace *events = nullptr,

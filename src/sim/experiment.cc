@@ -39,30 +39,6 @@ collectOutput(MemorySystem &system)
     return reportCounts(counts, system.lengthSharesPercent());
 }
 
-RunOutput
-replayOnce(const MissTrace &trace, const MemorySystemConfig &config)
-{
-    MemorySystem system(config);
-    system.replayMissTrace(trace);
-    RunOutput out = collectOutput(system);
-    out.sampling.timeSampler =
-        trace.summary().samplerCounts.value_or(SamplerCounts{});
-    return out;
-}
-
-RunOutput
-runOnce(TraceSource &src, const MemorySystemConfig &config,
-        EventTrace *events)
-{
-    MemorySystem system(config);
-    if (events)
-        system.attachEventTrace(events);
-    system.run(src);
-    RunOutput out = collectOutput(system);
-    out.sampling.timeSampler = src.samplerCounts().value_or(SamplerCounts{});
-    return out;
-}
-
 MetricsRegistry
 runMetrics(const RunOutput &out)
 {

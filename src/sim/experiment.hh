@@ -106,15 +106,18 @@ RunOutput reportCounts(const RunCounts &counts,
                        std::vector<double> length_shares);
 
 /**
- * Finalize @p system and assemble its RunOutput (used by runOnce and
- * by callers that drive a MemorySystem directly, e.g. the CLI).
+ * Finalize @p system and assemble its RunOutput (used by the sweep
+ * executor's one build-run-collect step and by callers that drive a
+ * MemorySystem directly).
  */
 RunOutput collectOutput(MemorySystem &system);
 
 /**
  * Run @p src through a system configured by @p config, with an
  * optional structural event trace attached for the duration of the
- * run (@p events may be nullptr; caller-owned).
+ * run (@p events may be nullptr; caller-owned). Defined beside the
+ * sweep executor (sim/sweep_runner.cc), whose build-run-collect step
+ * it shares, as does replayOnce.
  */
 RunOutput runOnce(TraceSource &src, const MemorySystemConfig &config,
                   EventTrace *events = nullptr);

@@ -5,6 +5,8 @@
 #include <deque>
 #include <exception>
 #include <map>
+#include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -87,28 +89,26 @@ enum class Kind
     REF_TRACE,
     MISS_TRACE,
     SAMPLING_PLAN,
-    REUSE_PROFILE,
     STREAM_STACK,
 };
 
 /**
  * One artifact the sweep's jobs read, keyed by (kind, key). It is
  * built from its input: a MissTrace or SamplingPlan from a RefTrace,
- * a ReuseProfile or StreamStack from a MissTrace, a RefTrace from the
- * job's source.
+ * a StreamStack from a MissTrace, a RefTrace from the job's source.
  */
 struct Node
 {
     Kind kind;
     /** The key it is shared under (in the store too, for the kinds
-     *  the store holds); empty for a keyless job's private node. */
+     *  the store holds). */
     std::string key;
     /** The job whose factory and config build the artifact. */
     std::size_t producer;
     Node *input;
     /** Build phase: one after the input's. */
     int level;
-    /** Jobs that run from it (or profile it) once it is built. */
+    /** Jobs that run from it once it is built. */
     std::vector<std::size_t> readers = {};
     /** Built nodes that will read it to build themselves (those the
      *  store already holds will not). */
@@ -119,7 +119,6 @@ struct Node
     std::shared_ptr<const MaterializedTrace> trace = nullptr;
     std::shared_ptr<const MissTrace> miss = nullptr;
     std::shared_ptr<const SamplingPlan> sampling = nullptr;
-    std::shared_ptr<const ReuseProfiler> profile = nullptr;
     /** A StreamStack's output per stream count it answered; its
      *  miss is its input's while some reader's count diverged. */
     std::map<std::uint32_t, RunOutput> answered = {};
@@ -128,13 +127,24 @@ struct Node
 constexpr int kLevels = 3;
 
 /** A sweep's artifacts and, per job, the node it runs from (null or
- *  unbuilt: its own source) and its reuse profile. */
+ *  unbuilt: its own source). */
 struct Plan
 {
     std::deque<Node> nodes;
     std::vector<Node *> runs;
-    std::vector<Node *> profiles;
 };
+
+/** The artifact stored under @p key, built by @p build and stored on
+ *  a miss, or, with the store off, a private build. */
+template <typename T>
+std::shared_ptr<const T>
+obtainArtifact(bool use_store, const std::string &key,
+               const std::function<std::shared_ptr<const T>()> &build)
+{
+    if (use_store)
+        return TraceCache::instance().getOrBuild<T>(key, build);
+    return build();
+}
 
 /** A view of @p trace when there is one, else the job's own source. */
 std::unique_ptr<TraceSource>
@@ -148,14 +158,14 @@ openInput(const std::shared_ptr<const MaterializedTrace> &trace,
 
 /**
  * The planner. Each job declares the artifacts it reads. A sampled
- * job reads its SamplingPlan (over its RefTrace) and an analytic job
- * its ReuseProfile, store on or off. With the store on, a keyed exact
- * job also runs from its StreamStack (over its MissTrace) when its
- * config is in streamStackDomain, else from its MissTrace (a replay)
- * or, failing that or when it captures events, its RefTrace (a shared
- * view); otherwise it runs from its own source. Then, one node after
- * everything reading it:
- *  - SamplingPlans, ReuseProfiles and what they need are built;
+ * job reads its SamplingPlan (over its RefTrace), store on or off.
+ * With the store on, an exact job also runs from its StreamStack
+ * (over its MissTrace) when its config is in streamStackDomain and it
+ * asks for no analytic L2 (the pass has no tap), else from its
+ * MissTrace (a replay) or, failing that or when it captures events,
+ * its RefTrace (a shared view); otherwise it runs from its own
+ * source. Then, one node after everything reading it:
+ *  - SamplingPlans and what they need are built;
  *  - any other node is built when two or more readers (jobs, or built
  *    nodes the store lacks) would otherwise each produce it, or when
  *    one would and the store already holds it; a built StreamStack
@@ -163,21 +173,20 @@ openInput(const std::shared_ptr<const MaterializedTrace> &trace,
  *  - an unbuilt StreamStack hands its jobs to its MissTrace, and an
  *    unbuilt MissTrace its replayers to its RefTrace.
  * A MissTrace is recorded from its RefTrace when that is built, else
- * from the generator. Nodes are shared within the sweep by key
- * whether or not the store is on; only with it on are they stored.
+ * from the generator. With the store off, only sampled jobs' nodes are
+ * built, shared within the sweep by key but not stored. A run is a
+ * one-job plan (runJob), so it builds nothing the store does not
+ * already hold, bar a sampled run's trace and plan.
  */
 Plan
-planSweep(const std::vector<SweepJob> &jobs, unsigned workers,
-          bool use_store)
+planSweep(std::span<const SweepJob> jobs, unsigned workers, bool use_store)
 {
-    Plan plan{{}, std::vector<Node *>(jobs.size()),
-              std::vector<Node *>(jobs.size())};
+    Plan plan{{}, std::vector<Node *>(jobs.size())};
     std::map<std::pair<Kind, std::string>, Node *> index;
     auto declare = [&](Kind kind, const std::string &key, std::size_t job,
                        Node *input) -> Node & {
         auto [it, fresh] = index.try_emplace({kind, key}, nullptr);
-        // A keyless job's nodes are its own, never looked up.
-        if (fresh || key.empty()) {
+        if (fresh) {
             it->second = &plan.nodes.emplace_back(
                 Node{kind, key, job, input, input ? input->level + 1 : 0});
         }
@@ -187,52 +196,43 @@ planSweep(const std::vector<SweepJob> &jobs, unsigned workers,
     const PhaseProfileConfig profile_config;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const SweepJob &job = jobs[i];
-        const bool keyed = !job.sourceKey.empty();
+        SBSIM_ASSERT(!job.sourceKey.empty(), "sweep job ", job.label,
+                     " has no source key");
         Node &ref = declare(Kind::REF_TRACE, job.sourceKey, i, nullptr);
         Node *&runs = plan.runs[i];
         if (job.fidelity == Fidelity::SAMPLED) {
-            SBSIM_ASSERT(!job.eventTrace,
-                         "sampled jobs cannot capture event traces");
-            runs = &declare(
-                Kind::SAMPLING_PLAN,
-                keyed ? samplingPlanKey(job.sourceKey, profile_config) : "",
-                i, &ref);
+            SBSIM_ASSERT(!job.eventTrace &&
+                             job.l2Model == L2ModelKind::SIMULATED,
+                         "sampled jobs capture no event trace and "
+                         "profile no L2");
+            runs = &declare(Kind::SAMPLING_PLAN,
+                            samplingPlanKey(job.sourceKey, profile_config),
+                            i, &ref);
             runs->required = ref.required = true;
             runs->readers.push_back(i);
             ref.readers.push_back(i);
             continue;
         }
-        Node &miss = declare(
-            Kind::MISS_TRACE,
-            keyed ? missTraceKey(job.sourceKey, job.config) : "", i, &ref);
-        if (use_store && keyed) {
-            // A replay cannot re-emit front-end events.
-            if (job.eventTrace) {
-                runs = &ref;
-            } else if (streamStackDomain(job.config)) {
-                const StreamEngineConfig &s = job.config.streams;
-                runs = &declare(
-                    Kind::STREAM_STACK,
-                    miss.key + '\x1f' + "stack:" + std::to_string(s.depth) +
-                        '/' + std::to_string(job.config.memLatencyCycles) +
-                        '/' + std::to_string(job.config.streamHitCycles),
-                    i, &miss);
-            } else {
-                runs = &miss;
-            }
-            runs->readers.push_back(i);
-        }
-        if (job.l2Model != L2ModelKind::SIMULATED) {
-            Node *&profile = plan.profiles[i];
-            profile = &declare(
-                Kind::REUSE_PROFILE,
-                keyed ? miss.key + '\x1f' +
-                            std::to_string(job.config.l2.blockSize)
-                      : "",
+        if (!use_store)
+            continue;
+        Node &miss = declare(Kind::MISS_TRACE,
+                             missTraceKey(job.sourceKey, job.config), i, &ref);
+        // A replay cannot re-emit front-end events.
+        if (job.eventTrace) {
+            runs = &ref;
+        } else if (job.l2Model == L2ModelKind::SIMULATED &&
+                   streamStackDomain(job.config)) {
+            const StreamEngineConfig &s = job.config.streams;
+            runs = &declare(
+                Kind::STREAM_STACK,
+                miss.key + '\x1f' + "stack:" + std::to_string(s.depth) +
+                    '/' + std::to_string(job.config.memLatencyCycles) +
+                    '/' + std::to_string(job.config.streamHitCycles),
                 i, &miss);
-            profile->required = miss.required = true;
-            profile->readers.push_back(i);
+        } else {
+            runs = &miss;
         }
+        runs->readers.push_back(i);
     }
 
     // Every node was declared after its input, so walking backwards
@@ -241,14 +241,14 @@ planSweep(const std::vector<SweepJob> &jobs, unsigned workers,
     for (auto it = plan.nodes.rbegin(); it != plan.nodes.rend(); ++it) {
         Node &node = *it;
         const std::size_t readers = node.readers.size() + node.builders;
-        const bool stored = use_store && !node.key.empty();
         const bool resident =
-            stored && readers > 0 &&
+            use_store && readers > 0 &&
             ((node.kind == Kind::REF_TRACE &&
               store.peek<MaterializedTrace>(node.key)) ||
              (node.kind == Kind::MISS_TRACE &&
               store.peek<MissTrace>(node.key)));
-        node.build = node.required || (stored && (readers >= 2 || resident));
+        node.build =
+            node.required || (use_store && (readers >= 2 || resident));
         if (node.build && node.kind == Kind::STREAM_STACK)
             node.input->required = true;
         if (node.build && !resident && node.input)
@@ -286,15 +286,6 @@ planSweep(const std::vector<SweepJob> &jobs, unsigned workers,
                                           profile_config));
                 });
             break;
-          case Kind::REUSE_PROFILE: {
-            std::vector<CacheConfig> l2s;
-            for (std::size_t i : node.readers)
-                l2s.push_back(jobs[i].config.l2);
-            std::unique_ptr<ReuseProfiler> profiler = makeL2Profiler(l2s);
-            profileMissTraceInto(*profiler, *node.input->miss);
-            node.profile = std::move(profiler);
-            break;
-          }
           case Kind::STREAM_STACK: {
             std::vector<std::uint32_t> counts;
             for (std::size_t i : node.readers)
@@ -328,6 +319,80 @@ planSweep(const std::vector<SweepJob> &jobs, unsigned workers,
         }
     }
     return plan;
+}
+
+/**
+ * The one build-run-collect step of every simulated run: build
+ * @p config's system, attach @p events and, for an analytic
+ * @p l2_model, a live profiler on the L2 port (secondaryDemand, which
+ * a replay feeds every DEMAND record); replay @p replay when there is
+ * one, else run @p src; collect the output with its input's
+ * TimeSampler counts and the analytic report; then let @p inspect
+ * peek at the finished system.
+ */
+RunOutput
+simulate(const MemorySystemConfig &config, const MissTrace *replay,
+         TraceSource *src, EventTrace *events,
+         L2ModelKind l2_model = L2ModelKind::SIMULATED,
+         const std::function<void(MemorySystem &)> &inspect = {})
+{
+    MemorySystem system(config);
+    if (events)
+        system.attachEventTrace(events);
+    std::unique_ptr<ReuseProfiler> profile;
+    if (l2_model != L2ModelKind::SIMULATED) {
+        profile = makeL2Profiler({config.l2});
+        system.attachReuseProfiler(profile.get());
+    }
+    std::optional<SamplerCounts> sampler;
+    if (replay) {
+        system.replayMissTrace(*replay);
+        sampler = replay->summary().samplerCounts;
+    } else {
+        system.run(*src);
+        sampler = src->samplerCounts();
+    }
+    RunOutput out = collectOutput(system);
+    out.sampling.timeSampler = sampler.value_or(SamplerCounts{});
+    if (profile)
+        reportAnalyticL2(out, *profile, l2_model, config);
+    if (inspect)
+        inspect(system);
+    return out;
+}
+
+/**
+ * The executor: serve @p job into @p out from @p in, the node its plan
+ * runs it from. A sampled job runs its SamplingPlan's intervals; a
+ * stream count its StreamStack answered is copied into the slot; any
+ * other job is simulated, replaying @p in's MissTrace when it has one,
+ * else running @p in's RefTrace or, without one, the job's own source.
+ */
+void
+executeJob(const SweepJob &job, const Node *in, RunOutput &out,
+           const std::function<void(MemorySystem &)> &inspect = {})
+{
+    if (in && in->sampling) {
+        out = runSampled(in->input->trace, *in->sampling, job.config);
+        return;
+    }
+    const bool stack = in && in->kind == Kind::STREAM_STACK;
+    if (stack) {
+        auto it = in->answered.find(job.config.streams.numStreams);
+        if (it != in->answered.end()) {
+            TraceCache::instance().noteStackJob();
+            out = it->second;
+            return;
+        }
+    }
+    const MissTrace *replay = in ? in->miss.get() : nullptr;
+    std::unique_ptr<TraceSource> src;
+    if (replay)
+        TraceCache::instance().noteReplay(stack);
+    else
+        src = openInput(in ? in->trace : nullptr, job);
+    out = simulate(job.config, replay, src.get(), job.eventTrace,
+                   job.l2Model, inspect);
 }
 
 } // namespace
@@ -432,6 +497,31 @@ samplingPlanKey(const std::string &source_key,
     return source_key + '\x1f' + config.key();
 }
 
+RunOutput
+runOnce(TraceSource &src, const MemorySystemConfig &config,
+        EventTrace *events)
+{
+    return simulate(config, nullptr, &src, events);
+}
+
+RunOutput
+replayOnce(const MissTrace &trace, const MemorySystemConfig &config)
+{
+    return simulate(config, &trace, nullptr, nullptr);
+}
+
+RunOutput
+runJob(const SweepJob &job, bool use_store,
+       const std::function<void(MemorySystem &)> &inspect)
+{
+    SBSIM_ASSERT(!inspect || !use_store,
+                 "inspecting a job needs its own front end: store off");
+    const Plan plan = planSweep({&job, 1}, 1, use_store);
+    RunOutput out;
+    executeJob(job, plan.runs[0], out, inspect);
+    return out;
+}
+
 std::vector<SweepResult>
 SweepRunner::run(const std::vector<SweepJob> &jobs) const
 {
@@ -451,34 +541,12 @@ SweepRunner::run(const std::vector<SweepJob> &jobs) const
 
     parallelFor(jobs.size(), jobs_, [&](std::size_t i) {
         const SweepJob &job = jobs[i];
-        const Node *in = plan.runs[i];
         SweepResult &res = results[i];
         res.label = job.label;
         {
             ScopedTimer timer(res.wallSeconds);
-            if (in && in->sampling) {
-                res.output =
-                    runSampled(in->input->trace, *in->sampling, job.config);
-            } else if (in && in->kind == Kind::STREAM_STACK) {
-                auto it = in->answered.find(job.config.streams.numStreams);
-                if (it != in->answered.end()) {
-                    TraceCache::instance().noteStackJob();
-                    res.output = it->second;
-                } else {
-                    TraceCache::instance().noteReplay(true);
-                    res.output = replayOnce(*in->miss, job.config);
-                }
-            } else if (in && in->miss) {
-                TraceCache::instance().noteReplay();
-                res.output = replayOnce(*in->miss, job.config);
-            } else {
-                res.output = runOnce(*openInput(in ? in->trace : nullptr, job),
-                                     job.config, job.eventTrace);
-            }
+            executeJob(job, plan.runs[i], res.output);
         }
-        if (const Node *profile = plan.profiles[i])
-            reportAnalyticL2(res.output, *profile->profile, job.l2Model,
-                             job.config);
         res.references = res.output.results.references;
         res.refsPerSecond = res.wallSeconds > 0
                                 ? static_cast<double>(res.references) /

@@ -1,6 +1,7 @@
 /**
  * @file
- * Parallel sweep engine for (benchmark x configuration) grids.
+ * Parallel sweep engine for (benchmark x configuration) grids, and the
+ * one way any job is served.
  *
  * Every table and figure of the reproduction runs many independent
  * simulations: each job owns its own trace source and MemorySystem,
@@ -8,7 +9,8 @@
  * of SweepJobs out across a fixed-size pool of std::thread workers
  * and returns results in submission order regardless of completion
  * order, so callers see exactly the ordering a serial loop over
- * runOnce would produce.
+ * runOnce would produce. A single run is a one-job sweep: runJob
+ * plans and serves it through the same planner and executor.
  *
  * Determinism contract: a job's makeSource factory is invoked on the
  * worker thread and must build a source chain private to the job
@@ -39,10 +41,10 @@
  *                     either way; see trace/trace_cache.hh.
  *
  * Before any job runs, one planner turns the grid into the artifacts
- * its jobs read — reference traces, miss traces, sampling plans, reuse
- * profiles and stream-stack passes — deduplicated by key and built one
- * level at a time
- * (see planSweep in sweep_runner.cc and docs/INTERNALS.md).
+ * its jobs read — reference traces, miss traces, sampling plans and
+ * stream-stack passes — deduplicated by key and built one level at a
+ * time; then one executor serves each job from what was built (see
+ * planSweep and executeJob in sweep_runner.cc and docs/INTERNALS.md).
  */
 
 #ifndef STREAMSIM_SIM_SWEEP_RUNNER_HH
@@ -94,19 +96,19 @@ struct SweepJob
      * equal source keys share one MaterializedTrace, and equal
      * (source key, front-end key) pairs share one MissTrace and run as
      * secondary-level replays or from one stream-stack pass over it.
-     * Empty opts the job out of all reuse:
-     * whatever it needs is built for it alone.
+     * Required: the planner asserts every job has one.
      */
     std::string sourceKey;
 
     /**
      * ANALYTIC or BOTH attaches an analytic L2 prediction (see
-     * sim/analytic_l2.hh) to the job's RunOutput::l2Analytic. The
-     * runner builds one reuse-distance profile per (miss stream, L2
-     * block size), shared by every job that asks for it, and each
-     * prediction is then a closed-form evaluation. Simulation of the
-     * job itself is unchanged (BOTH compares the two). Default:
-     * SIMULATED (off).
+     * sim/analytic_l2.hh) to the job's RunOutput::l2Analytic. The job's
+     * own run or replay feeds a reuse-distance profiler tapped at its
+     * L2 port (the demand misses the L1 and victim buffer let through),
+     * and the prediction is a closed-form evaluation of that profile.
+     * Such a job is never answered by a stream-stack pass, which has
+     * no tap. Simulation of the job itself is unchanged (BOTH compares
+     * the two). Default: SIMULATED (off).
      */
     L2ModelKind l2Model = L2ModelKind::SIMULATED;
 
@@ -115,8 +117,8 @@ struct SweepJob
      * instead of a full run (sim/sampled_run.hh): the runner
      * materialises the job's input, obtains one sampling plan per
      * (source key, profile config) pair, and reconstructs the metrics
-     * from the representative intervals. Incompatible with eventTrace
-     * and with replay.
+     * from the representative intervals. Incompatible with eventTrace,
+     * an analytic l2Model (asserted) and replay.
      */
     Fidelity fidelity = Fidelity::EXACT;
 };
@@ -177,7 +179,6 @@ class SweepRunner
      * results, so it cannot perturb determinism.
      */
     void setHeartbeat(bool on) { heartbeat_ = on; }
-    bool heartbeat() const { return heartbeat_; }
 
     /**
      * Emit the end-of-sweep trace-cache effectiveness report on
@@ -187,7 +188,6 @@ class SweepRunner
      * — with reuse off there are no cache numbers to report.
      */
     void setCacheReport(bool on) { cacheReport_ = on; }
-    bool cacheReport() const { return cacheReport_; }
 
     /**
      * Enable/disable trace reuse (Level 1 materialisation, Level 2
@@ -242,20 +242,20 @@ std::string samplingPlanKey(const std::string &source_key,
                             const PhaseProfileConfig &config);
 
 /**
- * The artifact stored under @p key — built by @p build and stored on
- * a miss — or, when @p use_store is false or @p key is empty, a
- * private build. The sweep planner and single runs
- * (service::executeRun) obtain their shared inputs through this.
+ * Serve one job as a one-job sweep: plan it (with @p use_store, it
+ * reads a trace or recording the store already holds and builds
+ * nothing else; a sampled job builds its trace and sampling plan
+ * through the store) and run it through the sweep's executor. No
+ * heartbeat and no cache report. The output is bit-identical to the
+ * job's point of any sweep.
+ *
+ * @param inspect Optional peek at the job's finished MemorySystem (the
+ *        CLI's --stats dump), called after the output is collected.
+ *        It needs the job's own front end, so it requires
+ *        @p use_store false (asserted).
  */
-template <typename T>
-std::shared_ptr<const T>
-obtainArtifact(bool use_store, const std::string &key,
-               const std::function<std::shared_ptr<const T>()> &build)
-{
-    if (use_store && !key.empty())
-        return TraceCache::instance().getOrBuild<T>(key, build);
-    return build();
-}
+RunOutput runJob(const SweepJob &job, bool use_store,
+                 const std::function<void(MemorySystem &)> &inspect = {});
 
 /**
  * Serialise sweep results as one JSON document: a "jobs" array of

@@ -137,13 +137,6 @@ PrefetchEngine::finalize()
     }
 }
 
-void
-PrefetchEngine::setCzoneBits(unsigned bits)
-{
-    SBSIM_ASSERT(czoneFilter_, "no czone filter configured");
-    czoneFilter_->setCzoneBits(bits);
-}
-
 StatGroup
 PrefetchEngine::stats() const
 {

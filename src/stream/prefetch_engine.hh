@@ -166,9 +166,6 @@ class PrefetchEngine
      */
     void finalize();
 
-    /** Adjust the czone size at run time (Figure 9 sweep). */
-    void setCzoneBits(unsigned bits);
-
     const StreamEngineStats &engineStats() const { return stats_; }
 
     /** Distribution of stream lengths, weighted by hits (Table 3). */

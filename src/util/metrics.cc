@@ -128,14 +128,6 @@ MetricsRegistry::find(const std::string &name) const
 }
 
 void
-MetricsRegistry::addStatGroup(const StatGroup &group)
-{
-    MetricsSection &s = section(group.name());
-    for (const StatValue &stat : group.stats())
-        s.add(stat.name, stat.value);
-}
-
-void
 MetricsRegistry::addDistribution(const std::string &name,
                                  const BucketedDistribution &dist)
 {

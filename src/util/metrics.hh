@@ -131,12 +131,6 @@ class MetricsRegistry
     }
 
     /**
-     * Import every stat of @p group as a section named after it
-     * (values are StatGroup's doubles, unchanged).
-     */
-    void addStatGroup(const StatGroup &group);
-
-    /**
      * Import @p dist as a section named @p name: per-bucket counts
      * ("count_<label>") and shares ("share_pct_<label>"), plus the
      * total weight.

@@ -3,8 +3,10 @@
 #      every class of schema drift),
 #   2. a real `run --json-out` and `sweep --json-out` validated
 #      against the checked-in tools/metrics.schema.json, including a
-#      time-sampled sweep at sampled fidelity and a sampled run with a
-#      victim buffer; every rate in them must agree with its counts.
+#      time-sampled sweep at sampled fidelity, a sampled run with a
+#      victim buffer and analytic sweeps with the cache on and off;
+#      every rate in them must agree with its counts, and every
+#      l2_analytic section with its model and the counts beside it.
 # Driven through `cmake -P` so the test works on every generator
 # without a shell dependency.
 
@@ -53,6 +55,18 @@ if(NOT status EQUAL 0)
     message(FATAL_ERROR "sweep --l2-model both --json-out failed: ${status}")
 endif()
 
+# An analytic sweep with a victim buffer and the cache off: its jobs
+# run from their own sources, each profiling the misses that get past
+# the victim buffer.
+execute_process(
+    COMMAND ${STREAMSIM_CLI} sweep --benchmark mgrid --refs 50000
+            --values 1,4 --l2 256 --l2-model both --victim 4
+            --trace-cache off --json-out ${work}/sweep_analytic_nocache.json
+    RESULT_VARIABLE status OUTPUT_QUIET)
+if(NOT status EQUAL 0)
+    message(FATAL_ERROR "sweep --l2-model both --victim 4 --trace-cache off --json-out failed: ${status}")
+endif()
+
 # Both aggregate shapes: cache on (trace_cache block present) and off.
 execute_process(
     COMMAND ${STREAMSIM_CLI} sweep --benchmark mgrid --refs 50000
@@ -89,8 +103,8 @@ execute_process(
     COMMAND ${PYTHON} ${SOURCE_DIR}/tools/validate_metrics.py
             --self-test ${work}/run.json ${work}/sweep.json
             ${work}/run_analytic.json ${work}/sweep_analytic.json
-            ${work}/sweep_nocache.json ${work}/sweep_sampled.json
-            ${work}/run_sampled_victim.json
+            ${work}/sweep_analytic_nocache.json ${work}/sweep_nocache.json
+            ${work}/sweep_sampled.json ${work}/run_sampled_victim.json
     RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
     message(FATAL_ERROR "schema validation failed: ${status}")

@@ -159,6 +159,48 @@ TEST(CliParse, TraceCacheToggle)
                      .ok());
 }
 
+TEST(CliParse, FlagsOutsideTheirCommandsAreRejected)
+{
+    // Run, capture and analyze used to accept these and ignore them.
+    const std::map<std::string, std::vector<std::string>> commands = {
+        {"run", {"run", "-b", "mgrid"}},
+        {"capture", {"capture", "-b", "mgrid", "-o", "x.trace"}},
+        {"analyze", {"analyze", "-b", "mgrid"}},
+        {"sweep", {"sweep", "-b", "mgrid"}},
+    };
+    const std::vector<std::vector<std::string>> sweep_only = {
+        {"--values", "1,2"}, {"--jobs", "3"},        {"-j", "3"},
+        {"--progress"},      {"--trace-cache", "off"},
+    };
+    for (const auto &[cmd, base] : commands) {
+        for (const std::vector<std::string> &flag : sweep_only) {
+            std::vector<std::string> args = base;
+            args.insert(args.end(), flag.begin(), flag.end());
+            ParseResult r = parseArgs(args);
+            if (cmd == "sweep") {
+                EXPECT_TRUE(r.ok()) << flag[0] << ": " << r.error;
+                continue;
+            }
+            ASSERT_FALSE(r.ok()) << cmd << ' ' << flag[0];
+            EXPECT_EQ(r.error, flag[0] + " applies to sweep only");
+        }
+        std::vector<std::string> args = base;
+        args.push_back("--stats");
+        ParseResult r = parseArgs(args);
+        if (cmd == "run" || cmd == "sweep") {
+            EXPECT_TRUE(r.ok()) << cmd << ": " << r.error;
+        } else {
+            ASSERT_FALSE(r.ok()) << cmd;
+            EXPECT_EQ(r.error, "--stats applies to run and sweep only");
+        }
+    }
+    EXPECT_FALSE(parse({"list", "--values", "1,2"}).ok());
+    EXPECT_FALSE(parse({"list", "--stats"}).ok());
+    EXPECT_FALSE(parse({"run", "-b", "mgrid", "--values", "1,2", "--jobs",
+                        "3", "--progress", "--trace-cache", "off"})
+                     .ok());
+}
+
 TEST(CliParse, ToSystemConfig)
 {
     ParseResult r = parse({"run", "-b", "trfd", "--streams", "6",

@@ -4,8 +4,8 @@
  * sources, reference limits far beyond what a finite generator
  * produces, ragged batch sizes, the bytes a finished trace reports
  * holding (and the cache report built from them), the TimeSampler
- * counts materializeSpecInput attaches, and views over one range of a
- * trace.
+ * counts a drain of a spec's input chain attaches, and views over one
+ * range of a trace.
  */
 
 #include <gtest/gtest.h>
@@ -250,7 +250,7 @@ TEST(MaterializedTrace, SpecInputKeepsTheTimeSamplerCounts)
     spec.scale = ScaleLevel::SMALL;
     spec.refs = 100000;
     spec.timeSample = true;
-    auto trace = materializeSpecInput(spec);
+    auto trace = MaterializedTrace::fromSource(*makeSpecInput(spec));
 
     auto workload = findBenchmark("mgrid").makeWorkload(ScaleLevel::SMALL);
     TimeSampler sampler(*workload, 10000, 90000);
@@ -268,5 +268,6 @@ TEST(MaterializedTrace, SpecInputKeepsTheTimeSamplerCounts)
     EXPECT_GT(trace->samplerCounts()->skipped, 0u);
 
     spec.timeSample = false;
-    EXPECT_FALSE(materializeSpecInput(spec)->samplerCounts());
+    EXPECT_FALSE(
+        MaterializedTrace::fromSource(*makeSpecInput(spec))->samplerCounts());
 }

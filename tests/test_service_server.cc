@@ -166,7 +166,7 @@ TEST(ServiceServer, ManyClientsCoalesceOnTheSharedTraceCache)
     const RunSpec spec = testSpec();
     std::shared_ptr<const MaterializedTrace> pin =
         cache.getOrMaterializeTrace(specSourceKey(spec), [&spec] {
-            return materializeSpecInput(spec);
+            return MaterializedTrace::fromSource(*makeSpecInput(spec));
         });
     ASSERT_TRUE(pin);
     ASSERT_EQ(cache.stats().refTracesMaterialized, 1u);

@@ -4,9 +4,10 @@
  *
  * A sweep shares work between its jobs: it materialises a reference
  * trace once, records one miss stream per front end and replays it,
- * builds one sampling plan per source and one reuse profile per
- * (miss stream, L2 block size). None of that may show in the answers.
- * These tests compare sweep points with runs that share nothing:
+ * and builds one sampling plan per source; an analytic job profiles
+ * its own run or replay at the L2 port. None of that may show in the
+ * answers. These tests compare sweep points with runs that share
+ * nothing:
  *
  *  - every point of a service sweep (buildSweepJobs through
  *    SweepRunner::run) must export the same runMetrics document as a
@@ -16,12 +17,19 @@
  *    export the same documents as each job run alone in a one-job
  *    sweep with the cache off, must build no more artifacts than the
  *    grid needs, and must serve each job by the path its kind routes
- *    it to: a stream-stack pass, a replay or a run.
+ *    it to: a stream-stack pass, a replay or a run;
+ *  - a run with the store on is a one-job plan: it exports the
+ *    cache-off run's document (and event trace), and moves the store's
+ *    counters by exactly what it read: nothing when nothing is
+ *    resident, a hit on a held trace, a hit and a replay on a held
+ *    recording unless it captures events.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -155,8 +163,7 @@ INSTANTIATE_TEST_SUITE_P(
 // at this length), a singleton in the stack's domain, one job per way
 // out of that domain on the first family's front end, an event-traced
 // job on the diverging family's source, a sampled pair on one key,
-// keyless sampled and analytic jobs, and an analytic family whose
-// members profile at two L2 block sizes.
+// and an analytic family whose members profile at two L2 block sizes.
 TEST(SweepPlanner, MixedGridMatchesOneJobSweepsAndBuildsNoMore)
 {
     constexpr std::uint64_t kRefs = 120000;
@@ -219,19 +226,9 @@ TEST(SweepPlanner, MixedGridMatchesOneJobSweepsAndBuildsNoMore)
                                         "sampled", kRefs));
             jobs.back().fidelity = Fidelity::SAMPLED;
         }
-        jobs.push_back(benchmarkJob("cgm", ScaleLevel::DEFAULT,
-                                    paperSystemConfig(4),
-                                    "keyless-sampled", kRefs));
-        jobs.back().fidelity = Fidelity::SAMPLED;
-        jobs.back().sourceKey.clear();
-
         MemorySystemConfig l2 = paperSystemConfig(4);
         l2.useL2 = true;
         l2.l2.sizeBytes = 256 * 1024;
-        jobs.push_back(benchmarkJob("embar", ScaleLevel::DEFAULT, l2,
-                                    "keyless-analytic", kRefs));
-        jobs.back().l2Model = L2ModelKind::BOTH;
-        jobs.back().sourceKey.clear();
         for (std::uint32_t block : {64u, 128u}) {
             MemorySystemConfig c = l2;
             c.l2.blockSize = block;
@@ -271,8 +268,7 @@ TEST(SweepPlanner, MixedGridMatchesOneJobSweepsAndBuildsNoMore)
         // What the grid needs stored, at most: the mgrid and trfd
         // traces (each read by an event-traced job and its family's
         // recording) and the fftpde trace under the sampled pair; the
-        // mgrid, trfd and cgm recordings; one sampling plan. Keyless
-        // jobs store nothing.
+        // mgrid, trfd and cgm recordings; one sampling plan.
         TraceCacheStats stats = TraceCache::instance().stats();
         EXPECT_LE(stats.refTracesMaterialized, cache ? 3u : 0u);
         EXPECT_LE(stats.missTracesRecorded, cache ? 3u : 0u);
@@ -286,4 +282,129 @@ TEST(SweepPlanner, MixedGridMatchesOneJobSweepsAndBuildsNoMore)
         EXPECT_EQ(stats.replays, cache ? 9u : 0u);
         TraceCache::instance().clear();
     }
+}
+
+namespace {
+
+/** Store counters a run can move: reference-trace hits and builds,
+ *  miss-trace hits and recordings, replays, stack-answered jobs,
+ *  sampling-plan hits and builds. */
+using Moves = std::array<std::uint64_t, 8>;
+
+Moves
+counters()
+{
+    const TraceCacheStats s = TraceCache::instance().stats();
+    return {s.refTraceHits,  s.refTracesMaterialized, s.missTraceHits,
+            s.missTracesRecorded, s.replays, s.stackJobs,
+            s.phasePlanHits, s.phasePlansBuilt};
+}
+
+/** @p spec run with the store on, and what that moved in the store. */
+std::pair<RunOutput, Moves>
+storeRun(const RunSpec &spec, EventTrace *events = nullptr)
+{
+    const Moves before = counters();
+    RunOutput out = executeRun(spec, events, true).output;
+    Moves moved = counters();
+    for (std::size_t i = 0; i < moved.size(); ++i)
+        moved[i] -= before[i];
+    return {std::move(out), moved};
+}
+
+/** The l2_analytic cells of @p out's document, name=value;... */
+std::string
+analyticCells(const RunOutput &out)
+{
+    const MetricsRegistry reg = runMetrics(out);
+    const std::vector<std::string> names = reg.flatFieldNames();
+    const std::vector<std::string> values = reg.flatFieldValues();
+    std::string cells;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        if (names[i].starts_with("l2_analytic."))
+            cells += names[i] + '=' + values[i] + ';';
+    }
+    return cells;
+}
+
+/** Hold @p spec's front-end recording in the store. */
+std::shared_ptr<const MissTrace>
+holdRecording(const RunSpec &spec)
+{
+    const MemorySystemConfig config = specSystemConfig(spec);
+    return TraceCache::instance().getOrRecord(
+        missTraceKey(specSourceKey(spec), config),
+        [&] { return recordMissTrace(*makeSpecInput(spec), config); });
+}
+
+} // namespace
+
+TEST(RunPlan, StoreOnWithNothingResidentBuildsNothing)
+{
+    TraceCache::instance().clear();
+    const RunSpec spec = baseSpec();
+    auto [out, moved] = storeRun(spec);
+    EXPECT_EQ(document(out),
+              document(executeRun(spec, nullptr, false).output));
+    EXPECT_EQ(moved, Moves{});
+    EXPECT_EQ(TraceCache::instance().stats().residentBytes, 0u);
+    TraceCache::instance().clear();
+}
+
+TEST(RunPlan, ReadsAHeldTraceAndBuildsNothing)
+{
+    TraceCache &cache = TraceCache::instance();
+    cache.clear();
+    const RunSpec spec = baseSpec();
+    std::shared_ptr<const MaterializedTrace> held =
+        cache.getOrMaterializeTrace(specSourceKey(spec), [&spec] {
+            return MaterializedTrace::fromSource(*makeSpecInput(spec));
+        });
+    auto [out, moved] = storeRun(spec);
+    EXPECT_EQ(document(out),
+              document(executeRun(spec, nullptr, false).output));
+    EXPECT_EQ(moved, (Moves{1, 0, 0, 0, 0, 0, 0, 0}));
+    cache.clear();
+}
+
+TEST(RunPlan, ReplaysAHeldRecordingAndTapsTheReplay)
+{
+    TraceCache &cache = TraceCache::instance();
+    cache.clear();
+    const RunSpec exact = baseSpec();
+    RunSpec both = exact;
+    both.l2KiloBytes = 256;
+    both.l2Model = L2ModelKind::BOTH;
+    std::shared_ptr<const MissTrace> held = holdRecording(exact);
+    // The L2 is not part of the front end: one recording serves both.
+    ASSERT_EQ(missTraceKey(specSourceKey(both), specSystemConfig(both)),
+              missTraceKey(specSourceKey(exact), specSystemConfig(exact)));
+    for (const RunSpec &spec : {exact, both}) {
+        auto [out, moved] = storeRun(spec);
+        const RunOutput want = executeRun(spec, nullptr, false).output;
+        EXPECT_EQ(document(out), document(want));
+        EXPECT_EQ(moved, (Moves{0, 0, 1, 0, 1, 0, 0, 0}));
+        EXPECT_EQ(analyticCells(out), analyticCells(want));
+        if (effectiveL2Model(spec) != L2ModelKind::SIMULATED) {
+            EXPECT_GT(out.l2Analytic.profiledMisses, 0u);
+        }
+    }
+    cache.clear();
+}
+
+TEST(RunPlan, EventTracedRunDoesNotReplayAHeldRecording)
+{
+    TraceCache &cache = TraceCache::instance();
+    cache.clear();
+    const RunSpec spec = baseSpec();
+    std::shared_ptr<const MissTrace> held = holdRecording(spec);
+    EventTrace got;
+    EventTrace want;
+    auto [out, moved] = storeRun(spec, &got);
+    EXPECT_EQ(document(out),
+              document(executeRun(spec, &want, false).output));
+    EXPECT_EQ(moved, Moves{});
+    EXPECT_FALSE(jsonl(want).empty());
+    EXPECT_EQ(jsonl(got), jsonl(want));
+    cache.clear();
 }

@@ -99,6 +99,8 @@ parseArgs(const std::vector<std::string> &args)
         return true;
     };
 
+    // The last flag given that only sweep reads.
+    std::string sweep_flag;
     for (std::size_t i = 1; i < args.size(); ++i) {
         const std::string &a = args[i];
         if (const service::SpecField *field = specFieldOfFlag(a)) {
@@ -135,7 +137,9 @@ parseArgs(const std::vector<std::string> &args)
             o.eventsOut = args[++i];
         } else if (a == "--progress") {
             o.progress = true;
+            sweep_flag = a;
         } else if (a == "--trace-cache") {
+            sweep_flag = a;
             if (!need_value(i, a))
                 return result;
             o.traceCache = parseBoolStrict(args[++i]);
@@ -144,6 +148,7 @@ parseArgs(const std::vector<std::string> &args)
                 return result;
             }
         } else if (a == "--values") {
+            sweep_flag = a;
             if (!need_value(i, a))
                 return result;
             if (!parseList(args[++i], o.sweepValues)) {
@@ -151,6 +156,7 @@ parseArgs(const std::vector<std::string> &args)
                 return result;
             }
         } else if (a == "--jobs" || a == "-j") {
+            sweep_flag = a;
             if (!need_value(i, a))
                 return result;
             std::optional<std::uint32_t> jobs = parseCount(args[++i]);
@@ -192,6 +198,14 @@ parseArgs(const std::vector<std::string> &args)
     }
     if (!simulates && o.spec.l2Model) {
         result.error = "--l2-model applies to run and sweep only";
+        return result;
+    }
+    if (!simulates && o.fullStats) {
+        result.error = "--stats applies to run and sweep only";
+        return result;
+    }
+    if (o.command != Command::SWEEP && !sweep_flag.empty()) {
+        result.error = sweep_flag + " applies to sweep only";
         return result;
     }
     if (o.spec.fidelity == Fidelity::SAMPLED) {
@@ -265,7 +279,8 @@ system:
 
 output:
   --out FILE (-o)            capture target file
-  --stats                    dump full component statistics
+  --stats                    dump full component statistics (run and
+                             sweep)
   --csv                      emit tables as CSV
   --json-out FILE            structured metrics as versioned JSON
                              (run and sweep)

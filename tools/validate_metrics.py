@@ -10,7 +10,8 @@ schema_version) fails the build.
 
 A document that matches the schema must also agree with itself: in
 every run's sections, each rate must be the ratio of the counts it is
-reported beside, and the cycle components must sum to the total.
+reported beside, the cycle components must sum to the total, and the
+analytic L2 report must agree with the counts its profiler saw.
 
 Usage:
     validate_metrics.py [--schema FILE] output.json [more.json ...]
@@ -151,19 +152,64 @@ def check_counts(sections, path, errors):
                       % (path, parts, cycles["total"]))
 
 
+# Each derived analytic number is one double operation on numbers the
+# document prints in round-trip form, so recomputing it here gives the
+# same double; the slack only keeps a last-bit difference from failing
+# a check meant for real disagreements.
+ANALYTIC_SLACK = 1e-9
+
+
+def check_analytic(sections, path, errors):
+    """Append an error for each number of one run's l2_analytic
+    section that disagrees with its model or with the counts beside
+    it. The profiler is tapped at the L2 port, so it sees exactly the
+    misses that get past the L1 and the victim buffer."""
+    report = sections["l2_analytic"]
+    where = path + ".l2_analytic"
+    if report["model"] == "simulated":
+        for field, v in report.items():
+            if field != "model" and v != 0:
+                errors.append("%s.%s: %r under the simulated model"
+                              % (where, field, v))
+        return
+    escaped = sections["l1"]["misses"] - sections["victim"]["hits"]
+    if report["profiled_misses"] != escaped:
+        errors.append("%s.profiled_misses: %d, but %d misses got past "
+                      "the L1 and the victim buffer"
+                      % (where, report["profiled_misses"], escaped))
+    if report["profiled_misses"] == 0:
+        return
+
+    def expect(field, want):
+        if abs(report[field] - want) > ANALYTIC_SLACK:
+            errors.append("%s.%s: %r, expected %r"
+                          % (where, field, report[field], want))
+
+    expect("predicted_hit_rate_pct",
+           100 - report["predicted_miss_ratio_pct"])
+    if report["model"] == "both":
+        expect("simulated_miss_ratio_pct",
+               100 - sections["l2"]["local_hit_rate_pct"])
+        expect("abs_error_pct",
+               abs(report["predicted_miss_ratio_pct"]
+                   - report["simulated_miss_ratio_pct"]))
+
+
 def document_errors(doc, schema):
-    """Schema problems of *doc*, or, when it has none, the rates that
-    disagree with their counts."""
+    """Schema problems of *doc*, or, when it has none, the numbers
+    that disagree with their counts."""
     errors = []
     validate(doc, schema, schema, "$", errors)
     if errors:
         return errors
     if doc["kind"] == "run":
-        check_counts(doc["sections"], "$.sections", errors)
+        runs = [("$.sections", doc["sections"])]
     else:
-        for i, job in enumerate(doc["jobs"]):
-            check_counts(job["sections"], "$.jobs[%d].sections" % i,
-                         errors)
+        runs = [("$.jobs[%d].sections" % i, job["sections"])
+                for i, job in enumerate(doc["jobs"])]
+    for path, sections in runs:
+        check_counts(sections, path, errors)
+        check_analytic(sections, path, errors)
     return errors
 
 
@@ -282,6 +328,31 @@ def self_test(schema):
                                   "sections": consistent_sections(
                                       "victim.hit_rate_pct", 20.0)}]},
          False),
+        ("analytic report that agrees with its counts accepted",
+         with_sections(good_run, analytic_sections("analytic")), True),
+        ("both report that agrees with its counts accepted",
+         with_sections(good_run, analytic_sections("both")), True),
+        # One case per analytic rule.
+        ("analytic numbers under the simulated model rejected",
+         with_sections(good_run, analytic_sections("simulated")), False),
+        ("profiled misses counting victim hits rejected",
+         with_sections(good_run, analytic_sections(
+             "analytic", "profiled_misses", 100)), False),
+        ("predicted hit rate off the miss ratio rejected",
+         with_sections(good_run, analytic_sections(
+             "analytic", "predicted_hit_rate_pct", 25.0)), False),
+        ("simulated miss ratio off the L2's rejected",
+         with_sections(good_run, analytic_sections(
+             "both", "simulated_miss_ratio_pct", 70.0,
+             "abs_error_pct", 0)), False),
+        ("abs error off the two ratios rejected",
+         with_sections(good_run, analytic_sections(
+             "both", "abs_error_pct", 4.0)), False),
+        ("sweep job analytic report off its counts rejected",
+         {**good_sweep, "jobs": [{**good_sweep["jobs"][0],
+                                  "sections": analytic_sections(
+                                      "both", "profiled_misses", 100)}]},
+         False),
     ]
     failed = 0
     for name, doc, want_ok in cases:
@@ -320,6 +391,24 @@ def consistent_sections(field=None, value=None):
     if field is not None:
         section, name = field.split(".")
         s[section][name] = value
+    return s
+
+
+def analytic_sections(model, *overrides):
+    """consistent_sections() with an l2_analytic report of *model*
+    that agrees with them, then each (field, value) pair of
+    *overrides* set in it."""
+    s = consistent_sections()
+    report = s["l2_analytic"]
+    # 80 of the 100 L1 misses got past the 20 victim hits; the L2
+    # missed 75% of what it saw.
+    report.update(model=model, predicted_miss_ratio_pct=70.0,
+                  predicted_hit_rate_pct=30.0, profiled_misses=80,
+                  unique_blocks=40)
+    if model == "both":
+        report.update(simulated_miss_ratio_pct=75.0, abs_error_pct=5.0)
+    for field, value in zip(overrides[::2], overrides[1::2]):
+        report[field] = value
     return s
 
 
