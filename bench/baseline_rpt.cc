@@ -32,11 +32,12 @@ struct RptResult
 RptResult
 runRpt(const std::string &name)
 {
-    const Benchmark &b = findBenchmark(name);
-    auto workload = b.makeWorkload(ScaleLevel::DEFAULT);
-    TruncatingSource limited(*workload, bench::refLimit());
+    // The input the stream column's runBenchmark reads.
+    auto input = makeInputChain(
+        findBenchmark(name).makeWorkload(ScaleLevel::DEFAULT),
+        bench::useTimeSampling(), bench::refLimit());
     RptSystem sys(SplitCacheConfig::paperDefault(), RptConfig{});
-    sys.run(limited);
+    sys.run(*input);
     return {sys.rpt().coveragePercent(),
             sys.rpt().extraBandwidthPercent()};
 }

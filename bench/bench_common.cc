@@ -1,9 +1,9 @@
 #include "bench_common.hh"
 
-#include <cstdlib>
+#include <cstdint>
 #include <map>
 
-#include "trace/time_sampler.hh"
+#include "util/env.hh"
 #include "util/table.hh"
 
 namespace sbsim {
@@ -12,34 +12,25 @@ namespace bench {
 std::uint64_t
 refLimit()
 {
-    if (const char *env = std::getenv("SBSIM_BENCH_REFS")) {
-        std::uint64_t v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            return v;
-    }
-    return 1500000;
+    // Read once, so a malformed value warns once, not once per run.
+    static const std::uint64_t limit =
+        envUnsigned("SBSIM_BENCH_REFS", 1, UINT64_MAX).value_or(1500000);
+    return limit;
 }
 
 bool
 useTimeSampling()
 {
-    const char *env = std::getenv("SBSIM_BENCH_SAMPLE");
-    return env && env[0] == '1';
+    static const bool sample =
+        envBool("SBSIM_BENCH_SAMPLE").value_or(false);
+    return sample;
 }
 
 RunOutput
 runBenchmark(const std::string &benchmark_name, ScaleLevel level,
              const MemorySystemConfig &config)
 {
-    const Benchmark &bench = findBenchmark(benchmark_name);
-    auto workload = bench.makeWorkload(level);
-    if (useTimeSampling()) {
-        TimeSampler sampler(*workload, 10000, 90000);
-        TruncatingSource limited(sampler, refLimit());
-        return runOnce(limited, config);
-    }
-    TruncatingSource limited(*workload, refLimit());
-    return runOnce(limited, config);
+    return runJob(job(benchmark_name, level, config), false);
 }
 
 SweepJob

@@ -22,17 +22,23 @@
 namespace sbsim {
 namespace bench {
 
-/** Per-run reference budget (default 1.5M; env SBSIM_BENCH_REFS). */
+/**
+ * Per-run reference budget: SBSIM_BENCH_REFS, a plain decimal of at
+ * least 1, else 1.5M. Parsed strictly (util/env.hh): a malformed value
+ * warns and the default applies.
+ */
 std::uint64_t refLimit();
 
 /** Whether to time-sample the trace as the paper did (10k on / 90k
- *  off). Enabled with SBSIM_BENCH_SAMPLE=1; off by default because it
- *  multiplies generation work tenfold for the same simulated refs. */
+ *  off): SBSIM_BENCH_SAMPLE, a strict boolean (1/true/yes/on), off by
+ *  default because it multiplies generation work tenfold for the same
+ *  simulated refs. A malformed value warns and counts as off. */
 bool useTimeSampling();
 
 /**
  * Run @p benchmark_name at @p level through @p config, honouring the
- * reference budget and optional time sampling.
+ * reference budget and optional time sampling: job() served as a
+ * one-job sweep with the trace store off.
  */
 RunOutput runBenchmark(const std::string &benchmark_name, ScaleLevel level,
                        const MemorySystemConfig &config);

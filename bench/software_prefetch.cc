@@ -15,6 +15,7 @@
  */
 
 #include <iostream>
+#include <memory>
 
 #include "bench_common.hh"
 #include "trace/time_sampler.hh"
@@ -38,8 +39,9 @@ runConfig(const std::string &name, bool streams,
     const Benchmark &b = findBenchmark(name);
     WorkloadSpec spec = b.makeSpec(ScaleLevel::DEFAULT);
     spec.swPrefetchDistance = sw_distance;
-    ComposedWorkload workload(spec);
-    TruncatingSource limited(workload, bench::refLimit());
+    auto input = makeInputChain(std::make_unique<ComposedWorkload>(spec),
+                                bench::useTimeSampling(),
+                                bench::refLimit());
 
     MemorySystemConfig config = paperSystemConfig(
         10, AllocationPolicy::UNIT_FILTER, StrideDetection::CZONE, 18);
@@ -47,7 +49,7 @@ runConfig(const std::string &name, bool streams,
     config.busCyclesPerBlock = 4;
 
     MemorySystem sys(config);
-    sys.run(limited);
+    sys.run(*input);
     SystemResults r = sys.finish();
     return {r.l1DataMisses, r.avgAccessCycles,
             percent(r.swPrefetches, r.references)};

@@ -41,7 +41,7 @@ main()
 
     // 3. Replay a 10% time sample of the same trace.
     TraceReader again(path);
-    TimeSampler sampled(again, 10000, 90000);
+    TimeSampler sampled(again); // the paper's 10k on / 90k off windows
     RunOutput sampled_run = runOnce(sampled, config);
 
     TablePrinter table({"trace", "refs", "hit_rate_%", "EB_%"});

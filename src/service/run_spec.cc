@@ -234,30 +234,20 @@ specSystemConfig(const RunSpec &spec)
 std::unique_ptr<TraceSource>
 makeSpecInput(const RunSpec &spec)
 {
-    auto chain = std::make_unique<OwningSourceChain>();
-    TraceSource *base = nullptr;
-    if (!spec.benchmark.empty()) {
-        base = &chain->add(
-            findBenchmark(spec.benchmark).makeWorkload(spec.scale));
-    } else {
-        base =
-            &chain->add(std::make_unique<TraceReader>(spec.traceFile));
-    }
-    if (spec.timeSample)
-        base = &chain->add(std::make_unique<TimeSampler>(*base, 10000, 90000));
-    chain->add(std::make_unique<TruncatingSource>(*base, spec.refs));
-    return chain;
+    std::unique_ptr<TraceSource> base;
+    if (spec.benchmark.empty())
+        base = std::make_unique<TraceReader>(spec.traceFile);
+    else
+        base = findBenchmark(spec.benchmark).makeWorkload(spec.scale);
+    return makeInputChain(std::move(base), spec.timeSample, spec.refs);
 }
 
 std::string
 specSourceKey(const RunSpec &spec)
 {
-    return "cli|" +
-           (!spec.benchmark.empty() ? "bench:" + spec.benchmark
-                                    : "file:" + spec.traceFile) +
-           '|' + std::to_string(static_cast<int>(spec.scale)) + '|' +
-           std::to_string(spec.refs) + '|' +
-           (spec.timeSample ? "ts" : "full");
+    return inputKey(spec.benchmark.empty() ? "file:" + spec.traceFile
+                                           : "bench:" + spec.benchmark,
+                    spec.scale, spec.refs, spec.timeSample);
 }
 
 L2ModelKind

@@ -137,18 +137,19 @@ std::string validateSweepValues(const std::vector<std::uint32_t> &values);
 MemorySystemConfig specSystemConfig(const RunSpec &spec);
 
 /**
- * Build the self-owned source chain the spec describes. Called per
- * run (and per sweep job, on the worker thread) — every caller gets a
- * private chain sharing no mutable state.
+ * Build the self-owned source chain the spec describes: its benchmark
+ * or trace file through makeInputChain. Called per run (and per sweep
+ * job, on the worker thread) — every caller gets a private chain
+ * sharing no mutable state.
  */
 std::unique_ptr<TraceSource> makeSpecInput(const RunSpec &spec);
 
 /**
  * Dedup key of the spec's input stream, fed to the trace cache /
- * sweep planner. Only input-selection fields participate: every
- * system configuration over the same input shares one key (and hence
- * one materialised trace). The "cli|" prefix is historical; the CLI
- * and the daemon deliberately share it so their recordings coalesce.
+ * sweep planner: its inputKey. Only input-selection fields
+ * participate, so every system configuration over the same input
+ * shares one key (and hence one materialised trace), and the CLI, the
+ * daemon and benchmarkJob's jobs over equal inputs coalesce.
  */
 std::string specSourceKey(const RunSpec &spec);
 

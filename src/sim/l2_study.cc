@@ -212,24 +212,4 @@ bestHitRateAtSize(const std::vector<L2Result> &results,
     return best;
 }
 
-MetricsRegistry
-l2StudyMetrics(const std::vector<L2Result> &results)
-{
-    MetricsRegistry reg;
-    for (const L2Result &r : results) {
-        std::string name = "l2_" +
-                           std::to_string(r.config.sizeBytes / 1024) +
-                           "k_a" + std::to_string(r.config.assoc) +
-                           "_b" + std::to_string(r.config.blockSize);
-        reg.section(name)
-            .add("size_bytes", r.config.sizeBytes)
-            .add("assoc", static_cast<std::uint64_t>(r.config.assoc))
-            .add("block_size",
-                 static_cast<std::uint64_t>(r.config.blockSize))
-            .add("local_hit_rate_pct", r.localHitRatePercent)
-            .add("sampled_accesses", r.sampledAccesses);
-    }
-    return reg;
-}
-
 } // namespace sbsim

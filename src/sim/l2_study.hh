@@ -23,7 +23,6 @@
 #include "trace/miss_trace.hh"
 #include "trace/reuse_profile.hh"
 #include "trace/source.hh"
-#include "util/metrics.hh"
 
 namespace sbsim {
 
@@ -89,9 +88,9 @@ class L2StudyDriver
  * registered as an exact conflict class — and results() prices the
  * whole grid via AnalyticL2Model in one pass, no sampling, exact for
  * class-covered candidates. Returns the same L2Result rows
- * as SecondaryCacheStudy, so minSizeReaching / bestHitRateAtSize /
- * l2StudyMetrics work unchanged (sampledAccesses reports the profiled
- * miss count: the analytic pass sees every miss).
+ * as SecondaryCacheStudy, so minSizeReaching and bestHitRateAtSize
+ * work unchanged (sampledAccesses reports the profiled miss count: the
+ * analytic pass sees every miss).
  */
 class AnalyticCacheStudy
 {
@@ -153,14 +152,6 @@ minSizeReaching(const std::vector<L2Result> &results, double target);
 /** Best hit rate among candidates of exactly @p size_bytes. */
 double bestHitRateAtSize(const std::vector<L2Result> &results,
                          std::uint64_t size_bytes);
-
-/**
- * Export the Table 4 candidate results as metric sections: one
- * section per candidate, named "l2_<sizeKB>k_a<assoc>_b<block>", with
- * the configuration echoed alongside the estimate. Candidate order is
- * preserved, so serialisation stays deterministic.
- */
-MetricsRegistry l2StudyMetrics(const std::vector<L2Result> &results);
 
 } // namespace sbsim
 

@@ -408,24 +408,15 @@ benchmarkJob(const std::string &benchmark_name, ScaleLevel level,
     // The source key names the exact reference sequence the factory
     // below produces; jobs built from the same arguments share it (and
     // therefore one materialised trace / one recording per front end).
-    job.sourceKey = "bench|" + benchmark_name + '|' +
-                    std::to_string(static_cast<int>(level)) + '|' +
-                    std::to_string(ref_limit) + '|' +
-                    (time_sample ? "ts" : "full");
+    job.sourceKey =
+        inputKey("bench:" + benchmark_name, level, ref_limit, time_sample);
     // Registry entries are static, so the resolved reference outlives
     // every closure, and the name is looked up once, not per factory
     // call.
     const Benchmark &benchmark = findBenchmark(benchmark_name);
-    job.makeSource = [&benchmark, level, ref_limit,
-                      time_sample]() -> std::unique_ptr<TraceSource> {
-        auto chain = std::make_unique<OwningSourceChain>();
-        TraceSource *base = &chain->add(benchmark.makeWorkload(level));
-        if (time_sample) {
-            base = &chain->add(
-                std::make_unique<TimeSampler>(*base, 10000, 90000));
-        }
-        chain->add(std::make_unique<TruncatingSource>(*base, ref_limit));
-        return chain;
+    job.makeSource = [&benchmark, level, ref_limit, time_sample] {
+        return makeInputChain(benchmark.makeWorkload(level), time_sample,
+                              ref_limit);
     };
     return job;
 }
@@ -481,6 +472,14 @@ SweepRunner::SweepRunner(unsigned jobs)
 {}
 
 std::string
+inputKey(const std::string &origin, ScaleLevel level,
+         std::uint64_t ref_limit, bool time_sample)
+{
+    return origin + '|' + std::to_string(static_cast<int>(level)) + '|' +
+           std::to_string(ref_limit) + '|' + (time_sample ? "ts" : "full");
+}
+
+std::string
 missTraceKey(const std::string &source_key,
              const MemorySystemConfig &config)
 {
@@ -488,7 +487,6 @@ missTraceKey(const std::string &source_key,
     // so distinct (source, front end) pairs never collide.
     return source_key + '\x1f' + frontEndKey(config);
 }
-
 
 std::string
 samplingPlanKey(const std::string &source_key,

@@ -91,7 +91,7 @@ struct SweepJob
     /**
      * Dedup key of the job's input stream: jobs whose factories
      * produce identical reference sequences must carry equal keys
-     * (benchmarkJob derives one from benchmark/scale/limit/sampling).
+     * (inputKey derives one from origin/scale/limit/sampling).
      * The key names the job's artifacts for the runner's planner:
      * equal source keys share one MaterializedTrace, and equal
      * (source key, front-end key) pairs share one MissTrace and run as
@@ -139,9 +139,9 @@ struct SweepResult
 
 /**
  * Build a SweepJob that models registry benchmark @p benchmark_name
- * at @p level, truncated to @p ref_limit references, optionally
- * time-sampled 10k-on/90k-off as the paper did. Defaults @p label to
- * the benchmark name.
+ * at @p level through makeInputChain: truncated to @p ref_limit
+ * references, optionally time-sampled as the paper did, keyed by
+ * inputKey. Defaults @p label to the benchmark name.
  */
 SweepJob benchmarkJob(const std::string &benchmark_name, ScaleLevel level,
                       const MemorySystemConfig &config,
@@ -226,6 +226,17 @@ class SweepRunner
     bool traceCache_;
     bool cacheReport_;
 };
+
+/**
+ * Dedup key of the input chain makeInputChain builds: its @p origin
+ * ("bench:NAME" for a registry benchmark, "file:PATH" for a trace
+ * file) at @p level, truncated to @p ref_limit references and
+ * time-sampled when @p time_sample is set. benchmarkJob and the
+ * service's spec inputs both key through it, so equal inputs share
+ * one key whichever built them.
+ */
+std::string inputKey(const std::string &origin, ScaleLevel level,
+                     std::uint64_t ref_limit, bool time_sample);
 
 /**
  * Store key of a job's miss trace: the input stream's dedup key plus

@@ -26,11 +26,12 @@ encodeRecord(const MemAccess &a, std::array<char, kRecordSize> &buf)
     buf[19] = 0;
 }
 
+/** Decode the kRecordSize bytes at @p buf into @p a. */
 bool
-decodeRecord(const std::array<char, kRecordSize> &buf, MemAccess &a)
+decodeRecord(const char *buf, MemAccess &a)
 {
-    std::memcpy(&a.addr, buf.data(), 8);
-    std::memcpy(&a.pc, buf.data() + 8, 8);
+    std::memcpy(&a.addr, buf, 8);
+    std::memcpy(&a.pc, buf + 8, 8);
     auto raw_type = static_cast<std::uint8_t>(buf[16]);
     if (raw_type > static_cast<std::uint8_t>(AccessType::PREFETCH))
         return false;
@@ -156,33 +157,6 @@ TraceReader::readHeader()
         SBSIM_FATAL("truncated trace header in ", path_);
 }
 
-bool
-TraceReader::next(MemAccess &out)
-{
-    if (pos_ >= count_)
-        return false;
-    std::array<char, kRecordSize> buf;
-    in_.read(buf.data(), buf.size());
-    if (!in_) {
-        auto got = static_cast<std::size_t>(in_.gcount());
-        if (got != 0) {
-            // A partial record: the file was torn mid-write, so the
-            // data before the tear is suspect too.
-            SBSIM_FATAL("torn record ", pos_, " in ", path_, " (",
-                        got, " of ", kRecordSize, " bytes)");
-        }
-        SBSIM_WARN("trace file ", path_, " truncated at record ", pos_,
-                   " of ", count_);
-        truncated_ = true;
-        pos_ = count_;
-        return false;
-    }
-    if (!decodeRecord(buf, out))
-        SBSIM_FATAL("corrupt record ", pos_, " in ", path_);
-    ++pos_;
-    return true;
-}
-
 std::size_t
 TraceReader::nextBatch(MemAccess *out, std::size_t max)
 {
@@ -208,10 +182,7 @@ TraceReader::nextBatch(MemAccess *out, std::size_t max)
         }
         std::size_t got = got_bytes / kRecordSize;
         for (std::size_t i = 0; i < got; ++i) {
-            std::array<char, kRecordSize> buf;
-            std::memcpy(buf.data(), raw.data() + i * kRecordSize,
-                        kRecordSize);
-            if (!decodeRecord(buf, out[n + i]))
+            if (!decodeRecord(raw.data() + i * kRecordSize, out[n + i]))
                 SBSIM_FATAL("corrupt record ", pos_ + i, " in ", path_);
         }
         pos_ += got;

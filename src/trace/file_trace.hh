@@ -86,7 +86,6 @@ class TraceReader : public TraceSource
     /** Open @p path; fatal on missing file or bad header. */
     explicit TraceReader(const std::string &path);
 
-    bool next(MemAccess &out) override;
     std::size_t nextBatch(MemAccess *out, std::size_t max) override;
 
     /**

@@ -1,13 +1,13 @@
 /**
  * @file
  * Level-1 trace reuse: an immutable, flat MemAccess buffer produced
- * once per unique (benchmark, scale, ref_limit, time_sample) source
- * key, shared across sweep jobs via shared_ptr<const ...>, and
+ * once per input key (origin, scale, ref_limit, time_sample: see
+ * inputKey), shared across sweep jobs via shared_ptr<const ...>, and
  * replayed whole, or one range at a time (a sampled interval), by
- * SharedTraceView — a TraceSource whose batched path copies
- * contiguous spans out of the shared buffer, and whose nextSpan()
- * hands out zero-copy pointers into it (the path MemorySystem::run
- * reads every source through).
+ * SharedTraceView — a TraceSource whose nextBatch() copies contiguous
+ * spans out of the shared buffer, and whose nextSpan() hands out
+ * zero-copy pointers into it (the path MemorySystem::run reads every
+ * source through).
  */
 
 #ifndef STREAMSIM_TRACE_MATERIALIZED_TRACE_HH
@@ -87,8 +87,8 @@ class MaterializedTrace
  * [begin, end) of it. Each consumer owns its own view (a cursor plus
  * a strong reference keeping the trace alive), so any number of jobs
  * replay the same buffer concurrently without synchronisation.
- * Delivers exactly the references of its range, in order: next(),
- * nextBatch() and nextSpan() are interchangeable.
+ * Delivers exactly the references of its range, in order: nextBatch()
+ * copies them out, and nextSpan() points into the buffer instead.
  */
 class SharedTraceView final : public TraceSource
 {
@@ -108,15 +108,6 @@ class SharedTraceView final : public TraceSource
                      "trace view [", begin, ", ", end,
                      ") outside a trace of ", trace_->size(),
                      " references");
-    }
-
-    bool
-    next(MemAccess &out) override
-    {
-        if (pos_ >= end_)
-            return false;
-        out = trace_->data()[pos_++];
-        return true;
     }
 
     std::size_t

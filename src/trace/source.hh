@@ -34,34 +34,23 @@ class TraceSource
     virtual ~TraceSource() = default;
 
     /**
-     * Produce the next reference.
-     * @param out Filled with the reference when available.
-     * @return false when the trace is exhausted.
+     * Produce up to @p max references into @p out: the one way a
+     * source delivers references. Consumers like MemorySystem::run pay
+     * one virtual dispatch per batch instead of one per reference. A
+     * batch may come up short (a wrapper may pass on its source's
+     * short batches), but the sequence delivered never depends on the
+     * batch sizes asked for.
+     *
+     * @return the number of references produced; 0 means exhausted.
      */
-    virtual bool next(MemAccess &out) = 0;
+    virtual std::size_t nextBatch(MemAccess *out, std::size_t max) = 0;
 
     /**
-     * Produce up to @p max references into @p out.
-     *
-     * The batched path exists purely for throughput: consumers like
-     * MemorySystem::run pay one virtual dispatch per batch instead of
-     * one per reference. The sequence delivered must be exactly the
-     * sequence next() would deliver — the default implementation
-     * guarantees that by calling next(), and hot sources override it
-     * with bulk copies under the same contract.
-     *
-     * @return the number of references produced; 0 means exhausted
-     *         (a source must not return 0 while next() would still
-     *         succeed).
+     * Produce the next reference: a one-element batch, for the
+     * per-reference consumers (drain, TraceWriter::appendAll, ...).
+     * @return false when the trace is exhausted.
      */
-    virtual std::size_t
-    nextBatch(MemAccess *out, std::size_t max)
-    {
-        std::size_t n = 0;
-        while (n < max && next(out[n]))
-            ++n;
-        return n;
-    }
+    virtual bool next(MemAccess &out) { return nextBatch(&out, 1) == 1; }
 
     /**
      * Point @p out at the next up to @p max references and consume
@@ -69,7 +58,7 @@ class TraceSource
      * A source holding its references in memory hands out a span of
      * its own storage; the default copies one nextBatch into
      * @p scratch (room for @p max) and points there. Either way the
-     * sequence is exactly the next() sequence.
+     * sequence is exactly the nextBatch sequence.
      *
      * @return the span length; 0 means exhausted.
      */
@@ -103,15 +92,6 @@ class VectorSource : public TraceSource
     explicit VectorSource(std::vector<MemAccess> accesses)
         : accesses_(std::move(accesses))
     {}
-
-    bool
-    next(MemAccess &out) override
-    {
-        if (pos_ >= accesses_.size())
-            return false;
-        out = accesses_[pos_++];
-        return true;
-    }
 
     std::size_t
     nextBatch(MemAccess *out, std::size_t max) override
@@ -149,12 +129,6 @@ class OwningSourceChain : public TraceSource
     {
         links_.push_back(std::move(link));
         return *links_.back();
-    }
-
-    bool
-    next(MemAccess &out) override
-    {
-        return !links_.empty() && links_.back()->next(out);
     }
 
     std::size_t

@@ -11,6 +11,7 @@
 #define STREAMSIM_TRACE_TIME_SAMPLER_HH
 
 #include <cstdint>
+#include <memory>
 
 #include "trace/source.hh"
 #include "util/audit.hh"
@@ -24,8 +25,10 @@ class TimeSampler : public TraceSource
   public:
     /**
      * @param src Underlying source; must outlive the sampler.
-     * @param on_count References passed through per period.
-     * @param off_count References dropped per period.
+     * @param on_count References passed through per period (the
+     *        paper's 10,000 by default).
+     * @param off_count References dropped per period (the paper's
+     *        90,000 by default).
      */
     TimeSampler(TraceSource &src, std::uint64_t on_count = 10000,
                 std::uint64_t off_count = 90000)
@@ -34,34 +37,13 @@ class TimeSampler : public TraceSource
         SBSIM_ASSERT(on_count > 0, "time sampler needs on_count > 0");
     }
 
-    bool
-    next(MemAccess &out) override
-    {
-        for (;;) {
-            if (inWindow_ < onCount_) {
-                if (!src_.next(out))
-                    return false;
-                ++inWindow_;
-                ++sampled_;
-                SBSIM_AUDIT(inWindow_ <= onCount_,
-                            "sampling window overran: ", inWindow_,
-                            " of ", onCount_);
-                return true;
-            }
-            if (!skipOffWindow())
-                return false;
-        }
-    }
-
     std::size_t
     nextBatch(MemAccess *out, std::size_t max) override
     {
         std::size_t n = 0;
         while (n < max) {
-            if (inWindow_ == onCount_) {
-                if (!skipOffWindow())
-                    return n;
-            }
+            if (inWindow_ == onCount_ && !skipOffWindow())
+                return n;
             // Pull the rest of the on window in one batched read.
             std::size_t want = static_cast<std::size_t>(
                 std::min<std::uint64_t>(max - n, onCount_ - inWindow_));
@@ -69,9 +51,8 @@ class TimeSampler : public TraceSource
             inWindow_ += got;
             sampled_ += got;
             n += got;
-            // Batched delivery must honour the same window accounting
-            // as the per-reference path: the on-window may never
-            // overrun, or the sampled stream diverges from serial.
+            // The on window may never overrun, or the sampled stream
+            // would depend on the batch sizes asked for.
             SBSIM_AUDIT(inWindow_ <= onCount_,
                         "batched sampling window overran: ", inWindow_,
                         " of ", onCount_);
@@ -107,6 +88,9 @@ class TimeSampler : public TraceSource
      * (one virtual dispatch per 256 dropped references instead of one
      * each — the off window is 9x the on window at the paper's 10%
      * sampling, so this dominated the sampler's cost).
+     * A short batch is not the end of the source: only an empty one
+     * is, so the window spans the same references whatever batches
+     * the source hands out.
      * @return false when the source ran dry mid-window.
      */
     bool
@@ -115,13 +99,13 @@ class TimeSampler : public TraceSource
         MemAccess dropped[256];
         std::uint64_t left = offCount_;
         while (left > 0) {
-            std::size_t want = static_cast<std::size_t>(
-                std::min<std::uint64_t>(left, 256));
-            std::size_t got = src_.nextBatch(dropped, want);
+            std::size_t got = src_.nextBatch(
+                dropped, static_cast<std::size_t>(
+                             std::min<std::uint64_t>(left, 256)));
+            if (got == 0)
+                return false;
             skipped_ += got;
             left -= got;
-            if (got < want)
-                return false;
         }
         inWindow_ = 0;
         return true;
@@ -148,17 +132,6 @@ class TruncatingSource : public TraceSource
     TruncatingSource(TraceSource &src, std::uint64_t limit)
         : src_(src), limit_(limit)
     {}
-
-    bool
-    next(MemAccess &out) override
-    {
-        if (emitted_ >= limit_)
-            return false;
-        if (!src_.next(out))
-            return false;
-        ++emitted_;
-        return true;
-    }
 
     std::size_t
     nextBatch(MemAccess *out, std::size_t max) override
@@ -188,6 +161,23 @@ class TruncatingSource : public TraceSource
     std::uint64_t limit_;
     std::uint64_t emitted_ = 0;
 };
+
+/**
+ * The one input chain every run and sweep job reads: @p base,
+ * time-sampled at the paper's windows when @p time_sample is set,
+ * truncated after @p ref_limit references. The chain owns every link.
+ */
+inline std::unique_ptr<TraceSource>
+makeInputChain(std::unique_ptr<TraceSource> base, bool time_sample,
+               std::uint64_t ref_limit)
+{
+    auto chain = std::make_unique<OwningSourceChain>();
+    TraceSource *head = &chain->add(std::move(base));
+    if (time_sample)
+        head = &chain->add(std::make_unique<TimeSampler>(*head));
+    chain->add(std::make_unique<TruncatingSource>(*head, ref_limit));
+    return chain;
+}
 
 } // namespace sbsim
 

@@ -30,20 +30,21 @@ class TraceStats : public TraceSource
           trackFootprint_(track_footprint)
     {}
 
-    bool
-    next(MemAccess &out) override
+    std::size_t
+    nextBatch(MemAccess *out, std::size_t max) override
     {
-        if (!src_.next(out))
-            return false;
-        switch (out.type) {
-          case AccessType::IFETCH: ++ifetches_; break;
-          case AccessType::LOAD: ++loads_; break;
-          case AccessType::STORE: ++stores_; break;
-          case AccessType::PREFETCH: ++prefetches_; break;
+        const std::size_t n = src_.nextBatch(out, max);
+        for (std::size_t i = 0; i < n; ++i) {
+            switch (out[i].type) {
+              case AccessType::IFETCH: ++ifetches_; break;
+              case AccessType::LOAD: ++loads_; break;
+              case AccessType::STORE: ++stores_; break;
+              case AccessType::PREFETCH: ++prefetches_; break;
+            }
+            if (trackFootprint_ && !out[i].isInstruction())
+                footprint_.touch(out[i].addr);
         }
-        if (trackFootprint_ && !out.isInstruction())
-            footprint_.touch(out.addr);
-        return true;
+        return n;
     }
 
     void
@@ -53,6 +54,7 @@ class TraceStats : public TraceSource
         ifetches_.reset();
         loads_.reset();
         stores_.reset();
+        prefetches_.reset();
         footprint_.clear();
     }
 

@@ -105,8 +105,9 @@ class MetricsSection
 
 /**
  * An ordered collection of sections. The registry itself is
- * shape-agnostic; the converters in sim/ (runMetrics, sweepMetrics,
- * l2StudyMetrics) define which sections exist and in what order.
+ * shape-agnostic; runMetrics (sim/experiment.hh) defines which
+ * sections a run has and in what order, and a sweep writes one such
+ * registry per job.
  *
  * Thread contract: deliberately unsynchronised. A registry is built
  * and serialised by exactly one thread — each sweep job constructs

@@ -36,19 +36,6 @@ ComposedWorkload::reset()
     exhausted_ = false;
 }
 
-bool
-ComposedWorkload::next(MemAccess &out)
-{
-    while (readPos_ == buffer_.size()) {
-        buffer_.clear();
-        readPos_ = 0;
-        if (!generateMore())
-            return false;
-    }
-    out = buffer_[readPos_++];
-    return true;
-}
-
 std::size_t
 ComposedWorkload::nextBatch(MemAccess *out, std::size_t max)
 {

@@ -146,13 +146,10 @@ class ComposedWorkload : public TraceSource
   public:
     explicit ComposedWorkload(WorkloadSpec spec);
 
-    bool next(MemAccess &out) override;
-
     /**
-     * Batched delivery shared by every benchmark generator: the
-     * interpreter refills the internal buffer op-step by op-step, and
-     * the batch drains it in bulk copies instead of per-reference
-     * pop_front calls.
+     * Delivery shared by every benchmark generator: the interpreter
+     * refills the internal buffer op-step by op-step, and the batch
+     * drains it in bulk copies.
      */
     std::size_t nextBatch(MemAccess *out, std::size_t max) override;
 

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -22,6 +24,14 @@ ParseResult
 parse(std::initializer_list<const char *> args)
 {
     return parseArgs(std::vector<std::string>(args.begin(), args.end()));
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
 }
 
 } // namespace
@@ -457,23 +467,45 @@ TEST(CliCommands, RunWithFullStats)
 
 TEST(CliCommands, CaptureThenReplayRoundTrips)
 {
-    std::string path =
-        (std::filesystem::temp_directory_path() / "cli_capture.trace")
-            .string();
-    ParseResult cap = parse({"capture", "-b", "is", "--refs", "30000",
-                             "-o", path.c_str()});
-    ASSERT_TRUE(cap.ok()) << cap.error;
-    std::ostringstream out1;
-    EXPECT_EQ(runCommand(cap.options, out1), 0);
-    EXPECT_NE(out1.str().find("30000"), std::string::npos);
+    // A captured trace replays as the run it was captured from: the
+    // file goes through the same input chain as the generator, so the
+    // run's --json-out document and the analyze table match byte for
+    // byte.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path();
+    const std::string trace = (dir / "cli_capture.trace").string();
+    const std::string file_json = (dir / "cli_capture_file.json").string();
+    const std::string bench_json =
+        (dir / "cli_capture_bench.json").string();
+    auto run = [](std::initializer_list<const char *> args) {
+        ParseResult r = parse(args);
+        EXPECT_TRUE(r.ok()) << r.error;
+        std::ostringstream out;
+        EXPECT_EQ(runCommand(r.options, out), 0);
+        return out.str();
+    };
 
-    ParseResult replay =
-        parse({"run", "--trace", path.c_str(), "--refs", "30000"});
-    ASSERT_TRUE(replay.ok()) << replay.error;
-    std::ostringstream out2;
-    EXPECT_EQ(runCommand(replay.options, out2), 0);
-    EXPECT_NE(out2.str().find("stream_hit_rate_%"), std::string::npos);
-    std::remove(path.c_str());
+    EXPECT_NE(run({"capture", "-b", "is", "--refs", "30000", "-o",
+                   trace.c_str()})
+                  .find("wrote 30000 references"),
+              std::string::npos);
+
+    const std::string from_file =
+        run({"run", "--trace", trace.c_str(), "--json-out",
+             file_json.c_str()});
+    EXPECT_NE(from_file.find("stream_hit_rate_%"), std::string::npos);
+    EXPECT_EQ(from_file, run({"run", "-b", "is", "--refs", "30000",
+                              "--json-out", bench_json.c_str()}));
+    const std::string doc = readFile(file_json);
+    EXPECT_NE(doc.find("\"l1\""), std::string::npos);
+    EXPECT_EQ(doc, readFile(bench_json));
+
+    const std::string analyzed = run({"analyze", "--trace", trace.c_str()});
+    EXPECT_NE(analyzed.find("unique_data_blocks"), std::string::npos);
+    EXPECT_EQ(analyzed, run({"analyze", "-b", "is", "--refs", "30000"}));
+
+    for (const std::string &path : {trace, file_json, bench_json})
+        std::remove(path.c_str());
 }
 
 TEST(CliCommands, SweepEmitsOneRowPerValue)

@@ -77,13 +77,18 @@ class RaggedSource final : public TraceSource
     Pcg32 rng_{7};
 };
 
-/** Delivers one reference per call through the default nextBatch. */
+/** Delivers at most one reference per call. */
 class OneByOneSource final : public TraceSource
 {
   public:
     explicit OneByOneSource(TraceSource &src) : src_(src) {}
 
-    bool next(MemAccess &out) override { return src_.next(out); }
+    std::size_t
+    nextBatch(MemAccess *out, std::size_t max) override
+    {
+        return src_.nextBatch(out, std::min<std::size_t>(max, 1));
+    }
+
     void reset() override { src_.reset(); }
 
   private:

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "sim/experiment.hh"
-#include "sim/l2_study.hh"
 #include "sim/sweep_runner.hh"
 #include "trace/time_sampler.hh"
 #include "util/metrics.hh"
@@ -326,26 +325,4 @@ TEST(CycleBreakdown, SwPrefetchPathAccounted)
     const CycleBreakdown &cb = out.results.cycleBreakdown;
     EXPECT_EQ(cb.total(), out.results.cycles);
     EXPECT_GT(cb.swPrefetchIssue, 0u);
-}
-
-TEST(L2StudyMetrics, OneSectionPerCandidate)
-{
-    std::vector<L2Result> results;
-    L2Result r;
-    r.config.sizeBytes = 256 * 1024;
-    r.config.assoc = 2;
-    r.config.blockSize = 64;
-    r.localHitRatePercent = 72.5;
-    r.sampledAccesses = 1000;
-    results.push_back(r);
-
-    MetricsRegistry reg = l2StudyMetrics(results);
-    ASSERT_EQ(reg.sections().size(), 1u);
-    EXPECT_EQ(reg.sections()[0].name(), "l2_256k_a2_b64");
-    std::ostringstream os;
-    reg.writeJsonSections(os);
-    EXPECT_EQ(os.str(),
-              "{\"l2_256k_a2_b64\":{\"size_bytes\":262144,\"assoc\":2,"
-              "\"block_size\":64,\"local_hit_rate_pct\":72.5,"
-              "\"sampled_accesses\":1000}}");
 }

@@ -1,24 +1,31 @@
 /**
  * @file
- * Differential tests for TraceSource::nextBatch: for every source
- * type, the batched path must deliver the exact sequence next()
- * delivers — across batch boundaries, for awkward batch sizes, and
- * again after reset(). MemorySystem::run consumes references through
- * nextBatch, so these pins are what keep the batched simulation
- * bit-identical to the serial one.
+ * Batch-size independence of every TraceSource. nextBatch is the one
+ * way a source delivers references, and next() is a one-element
+ * batch, so for every source type the sequence must not depend on the
+ * batch sizes it is asked for: one reference at a time, batch sizes
+ * that divide the trace, that don't and that exceed it, the two
+ * mixed, and again after reset(). MemorySystem::run reads 256-reference
+ * spans while drain, TraceWriter::appendAll and the CLI's analyze read
+ * one reference at a time, so these pins keep every consumer seeing
+ * the same sequence.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "trace/file_trace.hh"
+#include "trace/footprint.hh"
 #include "trace/source.hh"
 #include "trace/time_sampler.hh"
+#include "trace/trace_stats.hh"
 #include "workloads/benchmark.hh"
 #include "workloads/pattern.hh"
 
@@ -52,11 +59,18 @@ drainBatched(TraceSource &src, std::size_t batch_size)
     return out;
 }
 
+/** Batch sizes that divide a trace of @p n references, that don't,
+ *  and one that exceeds it. */
+std::vector<std::size_t>
+batchSizes(std::size_t n)
+{
+    return {1, 3, 7, 64, n + 13};
+}
+
 /**
  * The core differential: serial and batched drains of @p src must
- * agree for batch sizes that divide the trace, that don't, and that
- * exceed it; and a reset() must restart the batched sequence from the
- * top.
+ * agree for every batchSizes() size; and a reset() must restart the
+ * batched sequence from the top.
  */
 void
 expectBatchedMatchesSerial(TraceSource &src)
@@ -65,9 +79,7 @@ expectBatchedMatchesSerial(TraceSource &src)
     std::vector<MemAccess> serial = drainSerial(src);
     ASSERT_FALSE(serial.empty()) << "fixture produced an empty trace";
 
-    for (std::size_t batch_size : {std::size_t{1}, std::size_t{3},
-                                   std::size_t{7}, std::size_t{64},
-                                   serial.size() + 13}) {
+    for (std::size_t batch_size : batchSizes(serial.size())) {
         src.reset();
         std::vector<MemAccess> batched = drainBatched(src, batch_size);
         ASSERT_EQ(batched.size(), serial.size())
@@ -122,6 +134,32 @@ syntheticTrace(std::size_t n)
     return v;
 }
 
+/** Delivers its source in batches of at most 1, 2, 3, 1, 2, ...
+ *  references: short batches long before the source runs dry. */
+class ShortBatchSource final : public TraceSource
+{
+  public:
+    explicit ShortBatchSource(TraceSource &src) : src_(src) {}
+
+    std::size_t
+    nextBatch(MemAccess *out, std::size_t max) override
+    {
+        cap_ = cap_ % 3 + 1;
+        return src_.nextBatch(out, std::min(max, cap_));
+    }
+
+    void
+    reset() override
+    {
+        src_.reset();
+        cap_ = 0;
+    }
+
+  private:
+    TraceSource &src_;
+    std::size_t cap_ = 0;
+};
+
 std::string
 tempPath(const char *name)
 {
@@ -156,6 +194,64 @@ TEST(TraceBatch, TimeSampler)
     VectorSource base(syntheticTrace(4001));
     TimeSampler src(base, /*on_count=*/37, /*off_count=*/23);
     expectBatchedMatchesSerial(src);
+}
+
+TEST(TraceBatch, TimeSamplerOverShortBatches)
+{
+    // A short batch from the sampled source is not its end: the
+    // windows span the same references, and count the same, whatever
+    // batches the source hands out.
+    VectorSource whole_base(syntheticTrace(4001));
+    TimeSampler whole(whole_base, /*on_count=*/37, /*off_count=*/23);
+    const std::vector<MemAccess> want = drainSerial(whole);
+
+    VectorSource base(syntheticTrace(4001));
+    ShortBatchSource ragged(base);
+    TimeSampler src(ragged, /*on_count=*/37, /*off_count=*/23);
+    EXPECT_EQ(drainSerial(src), want);
+    EXPECT_EQ(src.sampledCount(), whole.sampledCount());
+    EXPECT_EQ(src.skippedCount(), whole.skippedCount());
+    expectBatchedMatchesSerial(src);
+}
+
+TEST(TraceBatch, TraceStats)
+{
+    // Every reference type, so each counter has something to count.
+    std::vector<MemAccess> refs = syntheticTrace(613);
+    for (std::size_t i = 0; i < refs.size(); i += 5)
+        refs[i] = makePrefetch(refs[i].addr);
+    std::uint64_t ifetches = 0, loads = 0, stores = 0, prefetches = 0;
+    BlockFootprint blocks(32);
+    for (const MemAccess &a : refs) {
+        switch (a.type) {
+          case AccessType::IFETCH: ++ifetches; break;
+          case AccessType::LOAD: ++loads; break;
+          case AccessType::STORE: ++stores; break;
+          case AccessType::PREFETCH: ++prefetches; break;
+        }
+        if (!a.isInstruction())
+            blocks.touch(a.addr);
+    }
+    ASSERT_GT(ifetches * loads * stores * prefetches, 0u);
+
+    VectorSource base(refs);
+    TraceStats src(base, 32);
+    expectBatchedMatchesSerial(src);
+
+    // The counters see each forwarded batch exactly once: after a
+    // reset() and a whole drain at any batch size, they describe the
+    // trace once.
+    for (std::size_t batch_size : batchSizes(refs.size())) {
+        SCOPED_TRACE(batch_size);
+        src.reset();
+        ASSERT_EQ(drainBatched(src, batch_size), refs);
+        EXPECT_EQ(src.ifetches(), ifetches);
+        EXPECT_EQ(src.loads(), loads);
+        EXPECT_EQ(src.stores(), stores);
+        EXPECT_EQ(src.prefetches(), prefetches);
+        EXPECT_EQ(src.total(), refs.size());
+        EXPECT_EQ(src.uniqueDataBlocks(), blocks.uniqueBlocks());
+    }
 }
 
 TEST(TraceBatch, TruncatingSource)
